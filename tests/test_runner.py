@@ -38,6 +38,29 @@ def test_job_completes_with_lineage(job_dirs):
     )
 
 
+def test_runner_matches_flagship(job_dirs):
+    """The checkpointed runner and dedup_pipeline run one stage graph:
+    on the same corpus the runner's verified/ rows are the flagship's
+    pairs and its clusters/ rows the flagship's clusters."""
+    import ray.data
+
+    from analiticcl_ray.pipelines.dedup import dedup_pipeline
+
+    src, out, _ = job_dirs
+    pairs_ds, clusters_ds, _ = dedup_pipeline(ray.data.read_parquet(src))
+    cols = ["src_id", "dst_id", "caption_score", "psnr_db", "capped"]
+
+    def _rows(ds):
+        return sorted(tuple(r[c] for c in cols) for r in ds.select_columns(cols).take_all())
+
+    runner_pairs = _rows(ray.data.read_parquet(os.path.join(out, "verified")))
+    assert runner_pairs and runner_pairs == _rows(pairs_ds)
+    flagship_clusters = sorted(
+        (r["image_id"], r["cluster_id"]) for r in clusters_ds.take_all()
+    )
+    assert _clusters(out) == flagship_clusters
+
+
 def test_resume_skips_completed_stages(job_dirs):
     from analiticcl_ray.pipelines.runner import run_dedup_job
 
@@ -64,6 +87,29 @@ def test_resume_after_partial_failure(job_dirs):
     assert lineage3["stages"][0]["resumed_shards"] == 3  # 3 of 4 reused
     assert lineage3["stages"][1].get("resumed")  # pairs manifest intact
     assert not lineage3["stages"][2].get("resumed")  # verified recomputed
+    assert _clusters(out) == before
+
+
+def test_resume_after_torn_writes(job_dirs):
+    """Simulate the two states a crash can leave behind: a signature
+    shard whose part files are on disk but whose _SUCCESS marker is not,
+    and a stage directory whose manifest was never written. Neither may
+    be served: the shard alone and the pairs stage are recomputed."""
+    import ray.data
+
+    from analiticcl_ray.pipelines.runner import run_dedup_job
+
+    src, out, _ = job_dirs
+    before = _clusters(out)
+    shard = os.path.join(out, "signatures", "shard=1")
+    os.remove(os.path.join(shard, "_SUCCESS"))
+    assert any(f.endswith(".parquet") for f in os.listdir(shard))
+    os.remove(os.path.join(out, "pairs", "_manifest.json"))
+    lineage = run_dedup_job(src, out, n_shards=4)
+    assert lineage["stages"][0]["resumed_shards"] == 3
+    assert not lineage["stages"][1].get("resumed")
+    sig_rows = ray.data.read_parquet(os.path.join(out, "signatures")).count()
+    assert sig_rows == ray.data.read_parquet(src).count()
     assert _clusters(out) == before
 
 
