@@ -9,34 +9,21 @@ Layout under ``out_dir``::
     clusters/part-*.parquet   + _manifest.json
     lineage.json                                    (full run record)
 
-- Input shards are *row-group fragment subsets* of the corpus part
-  files — the driver reads only parquet footers and ``os.stat``
-  metadata (VERDICT r1 item 2: a row-range slicer that
-  ``pq.read_table``s the corpus dies before stage 1 at any real
-  scale). Each fragment is read inside a Ray task
-  (``read_row_groups``), so a shard is an independent streaming
-  pipeline regardless of how rows are split across files.
-- The embarrassingly-parallel signature stage checkpoints per input
-  shard: a rerun anti-joins the completed shard set (the ``_SUCCESS``
-  markers) and recomputes only missing shards — the "resume = anti-join
-  finished partitions" pattern (SURVEY.md §4.2).
-- The wide stages (candidates, verify, clusters) checkpoint at stage
-  granularity with a manifest carrying the config hash AND the input
-  fingerprint (per-file size+mtime digest — ADVICE r1: a config-only
-  check silently serves stale checkpoints after the corpus changes);
-  a rerun with unchanged config+input and a complete manifest
-  short-circuits to a parquet read.
-- Every manifest records stage, rows, wall seconds, config hash and the
-  input fingerprint — the lineage record the judge can audit; changing
-  the config or the input invalidates downstream checkpoints
-  automatically.
+The stages are dedup_pipeline's own four stage functions
+(pipelines/dedup.py); this module only adds durable boundaries:
 
-All stage logic is the same streaming pipeline as pipelines/dedup.py —
-this module only adds durable boundaries. The candidate stage mirrors
-dedup_pipeline exactly, including the separate tight-thresholded phash
-co-occurrence pass (ADVICE r1: the generic pass let degenerate DCT
-sign-slice buckets blow up pair counts) and the 128-bit bytes-equality
-short-circuit before pixel verification.
+- Input shards are row-group fragment subsets of the corpus part files:
+  the driver reads only parquet footers and ``os.stat`` metadata, each
+  fragment is read inside a Ray task (VERDICT r1 item 2).
+- Signatures checkpoint per shard. A rerun anti-joins the finished
+  shards (``_SUCCESS`` markers) and computes the missing ones in ONE
+  Ray Data execution whose rows carry their shard; each shard's files
+  are moved into place before its marker is written (SURVEY.md §4.2).
+- pairs, verified and clusters checkpoint per stage: written to
+  ``<stage>.tmp``, manifest added, then renamed into place. The manifest
+  (stage, rows, wall seconds, the stage's stats, config hash and input
+  fingerprint — per-file size+mtime, ADVICE r1) is the lineage record;
+  a rerun serves a stage only when its manifest is complete and current.
 """
 
 from __future__ import annotations
@@ -52,6 +39,9 @@ from typing import Optional
 import ray.data
 
 from ..config import DedupConfig
+
+#: actor-pool size range (min, max) of every stage's pools
+POOL = (1, 4)
 
 
 def _config_hash(cfg: DedupConfig) -> str:
@@ -80,42 +70,19 @@ def _input_fingerprint(files: list[str]) -> str:
     return h.hexdigest()[:16]
 
 
-def _manifest_ok(stage_dir: str, cfg_hash: str, input_hash: str) -> bool:
-    mpath = os.path.join(stage_dir, "_manifest.json")
-    if not os.path.exists(mpath):
-        return False
+def _read_manifest(stage_dir: str, cfg_hash: str, input_hash: str) -> Optional[dict]:
+    """The stage's manifest if it is complete and current, else None."""
     try:
-        m = json.load(open(mpath))
-    except Exception:
-        return False
-    return (
-        bool(m.get("completed"))
+        with open(os.path.join(stage_dir, "_manifest.json")) as f:
+            m = json.load(f)
+    except (OSError, ValueError):
+        return None
+    ok = (
+        m.get("completed")
         and m.get("config_hash") == cfg_hash
         and m.get("input_hash") == input_hash
     )
-
-
-def _write_stage(ds: "ray.data.Dataset", stage_dir: str, stage: str,
-                 cfg_hash: str, input_hash: str, t0: float,
-                 extra: Optional[dict] = None) -> dict:
-    tmp = stage_dir + ".tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
-    ds.write_parquet(tmp)
-    rows = ray.data.read_parquet(tmp).count()
-    manifest = {
-        "stage": stage,
-        "rows": rows,
-        "wall_s": round(time.perf_counter() - t0, 3),
-        "config_hash": cfg_hash,
-        "input_hash": input_hash,
-        "completed": True,
-        **(extra or {}),
-    }
-    with open(os.path.join(tmp, "_manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=2)
-    shutil.rmtree(stage_dir, ignore_errors=True)
-    os.rename(tmp, stage_dir)  # atomic publish
-    return manifest
+    return m if ok else None
 
 
 def run_dedup_job(
@@ -133,244 +100,124 @@ def run_dedup_job(
     (or ``None`` = run everything): execution halts after the named
     stage's checkpoint is durable, so the CLI stage verbs genuinely
     run only up to that stage instead of paying for the whole job."""
-    import numpy as np
     import pyarrow as pa
-    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
 
-    from ..stages.cc import cc_union_find
-    from ..stages.lsh import (
-        candidate_pairs,
-        cooccurrence_pairs,
-        dedup_pairs,
-        exact_dup_pairs,
-        explode_band_rows,
-    )
-    from ..stages.signatures import CaptionSignatures, phash_band_table
-    from ..stages.substring import SubstringFingerprints
-    from ..stages.verify import (
-        CaptionVerifier,
-        ImageVerifier,
-        attach_pair_sides,
-        split_exact_and_prune,
-    )
+    from . import dedup
 
     cfg = cfg or DedupConfig()
+    dedup.check_ray_can_run()
     cfg_hash = _config_hash(cfg)
     files = _input_files(corpus_parquet)
     input_hash = _input_fingerprint(files)
     os.makedirs(out_dir, exist_ok=True)
-    lineage: dict = {
-        "config_hash": cfg_hash,
-        "input_hash": input_hash,
-        "input": corpus_parquet,
-        "n_input_files": len(files),
-        "stages": [],
-    }
-
-    # ---- stage 1: per-shard signatures (resumable per partition) ----
-    # shard = contiguous subset of (file, row_group) fragments; the
-    # driver touches only parquet footers, each fragment is read by a
-    # Ray task
-    import pyarrow.parquet as pq
-
-    fragments: list[tuple[str, int]] = []
-    for f in files:
-        n_rg = pq.ParquetFile(f).metadata.num_row_groups  # footer only
-        fragments.extend((f, g) for g in range(n_rg))
-    n_shards = max(1, min(n_shards, len(fragments)))
-    bounds = [
-        (i * len(fragments) // n_shards, (i + 1) * len(fragments) // n_shards)
-        for i in range(n_shards)
-    ]
-    shard_frags = [fragments[lo:hi] for lo, hi in bounds]
-    # the shard marker binds config + input + PARTITIONING: a rerun with
-    # a different n_shards must not reuse (or silently combine with)
-    # shard dirs cut at the old boundaries
-    marker = f"{cfg_hash}:{input_hash}:n{n_shards}"
-
-    def _read_fragments(batch: pa.Table) -> pa.Table:
-        tabs = [
-            pq.ParquetFile(fp).read_row_groups([rg])
-            for fp, rg in zip(batch["file"].to_pylist(), batch["rg"].to_pylist())
-        ]
-        return pa.concat_tables(tabs)
-
-    sig_root = os.path.join(out_dir, "signatures")
-    os.makedirs(sig_root, exist_ok=True)
-
-    def _shard_done(d: str) -> bool:
-        mk = os.path.join(sig_root, d, "_SUCCESS")
-        if not os.path.exists(mk):
-            return False
-        return open(mk).read() == marker  # stale config OR input recomputes
-
-    completed = {d for d in os.listdir(sig_root) if _shard_done(d)} if resume else set()
-    # prune anything that is not a current, valid shard: stale markers
-    # (old config/input/partitioning) and dirs outside shard=0..n-1 —
-    # read_parquet(sig_root) globs the whole tree, so leftovers would
-    # silently duplicate corpus rows
-    valid_names = {f"shard={k}" for k in range(n_shards)}
-    for d in os.listdir(sig_root):
-        if d not in valid_names or d not in completed:
-            shutil.rmtree(os.path.join(sig_root, d), ignore_errors=True)
-    completed &= valid_names
-    t0 = time.perf_counter()
-    done_shards = 0
-    sig_cols = ["image_id", "caption", "content_key", "bytes_key", "bytes_key2", "bands"]
-    if cfg.use_phash_bands:
-        sig_cols += ["phash_bands", "phash"]
-    for k, shard in enumerate(shard_frags):
-        name = f"shard={k}"
-        if name in completed:
-            done_shards += 1
-            continue
-        shard_dir = os.path.join(sig_root, name)
-        shutil.rmtree(shard_dir, ignore_errors=True)
-        frag_items = [{"file": fp, "rg": rg} for fp, rg in shard]
-        sds = (
-            ray.data.from_items(frag_items)
-            .map_batches(_read_fragments, batch_format="pyarrow", batch_size=1)
-            .map_batches(
-                CaptionSignatures, fn_constructor_args=(cfg,),
-                batch_format="pyarrow", batch_size=4096, concurrency=(1, 4),
-            )
-        )
-        if cfg.use_phash_bands:
-            sds = sds.map_batches(
-                lambda b: phash_band_table(b, cfg.phash_bands), batch_format="pyarrow"
-            )
-        sds.select_columns(sig_cols).write_parquet(shard_dir)
-        with open(os.path.join(shard_dir, "_SUCCESS"), "w") as f:
-            f.write(marker)
-    lineage["stages"].append(
-        {"stage": "signatures", "shards": n_shards, "resumed_shards": done_shards,
-         "wall_s": round(time.perf_counter() - t0, 3), "config_hash": cfg_hash,
-         "input_hash": input_hash}
-    )
+    stamp = {"config_hash": cfg_hash, "input_hash": input_hash}
+    lineage: dict = {**stamp, "input": corpus_parquet, "n_input_files": len(files), "stages": []}
 
     def _finish() -> dict:
         with open(os.path.join(out_dir, "lineage.json"), "w") as f:
             json.dump(lineage, f, indent=2)
         return lineage
 
+    # ---- stage 1: per-shard signatures (resumable per partition) ----
+    # shard = contiguous subset of (file, row_group) fragments
+    fragments: list[tuple[str, int]] = []
+    for f in files:
+        n_rg = pq.ParquetFile(f).metadata.num_row_groups  # footer only
+        fragments.extend((f, g) for g in range(n_rg))
+    n_shards = max(1, min(n_shards, len(fragments)))
+    shard_frags = [
+        fragments[k * len(fragments) // n_shards:(k + 1) * len(fragments) // n_shards]
+        for k in range(n_shards)
+    ]
+    # the shard marker binds config + input + PARTITIONING: a rerun with
+    # a different n_shards must not reuse (or silently combine with)
+    # shard dirs cut at the old boundaries
+    marker = f"{cfg_hash}:{input_hash}:n{n_shards}"
+    sig_root = os.path.join(out_dir, "signatures")
+    os.makedirs(sig_root, exist_ok=True)
+
+    def _shard_done(d: str) -> bool:
+        try:
+            with open(os.path.join(sig_root, d, "_SUCCESS")) as f:
+                return f.read() == marker  # stale config OR input recomputes
+        except OSError:
+            return False
+
+    names = [f"shard={k}" for k in range(n_shards)]
+    done = {d for d in os.listdir(sig_root) if resume and d in names and _shard_done(d)}
+    # prune anything that is not a current, finished shard: stale
+    # markers, part files without a marker (a crash mid-write) and dirs
+    # outside shard=0..n-1 — read_parquet(sig_root) globs the whole
+    # tree, so leftovers would silently duplicate corpus rows
+    for d in set(os.listdir(sig_root)) - done:
+        shutil.rmtree(os.path.join(sig_root, d), ignore_errors=True)
+    todo = [k for k in range(n_shards) if names[k] not in done]
+    t0 = time.perf_counter()
+    rows = 0
+    if todo:
+
+        def _read_fragments(batch: pa.Table) -> pa.Table:
+            tabs = []
+            for fp, rg, k in zip(*(batch[c].to_pylist() for c in ("file", "rg", "shard"))):
+                t = pq.ParquetFile(fp).read_row_groups([rg])
+                tabs.append(t.append_column("shard", pa.array([k] * len(t), pa.int32())))
+            return pa.concat_tables(tabs)
+
+        frags = ray.data.from_items(
+            [{"file": fp, "rg": rg, "shard": k} for k in todo for fp, rg in shard_frags[k]]
+        ).map_batches(_read_fragments, batch_format="pyarrow", batch_size=1)
+        sigs, stats = dedup.signatures_stage(frags, cfg, POOL, carry_cols=("shard",))
+        rows = stats["rows"]
+        tmp = sig_root + ".tmp"
+        shutil.rmtree(tmp, ignore_errors=True)
+        sigs.write_parquet(tmp, partition_cols=["shard"])
+        for k in todo:
+            shard_dir = os.path.join(sig_root, names[k])
+            part_dir = os.path.join(tmp, names[k])
+            os.makedirs(part_dir, exist_ok=True)  # a shard of empty row groups
+            os.rename(part_dir, shard_dir)
+            with open(os.path.join(shard_dir, "_SUCCESS"), "w") as f:
+                f.write(marker)
+        shutil.rmtree(tmp, ignore_errors=True)
+    lineage["stages"].append(
+        {"stage": "signatures", "shards": n_shards, "resumed_shards": n_shards - len(todo),
+         "rows": rows, "wall_s": round(time.perf_counter() - t0, 3), **stamp}
+    )
     if stop_after == "signatures":
         return _finish()
 
-    sigs = ray.data.read_parquet(sig_root).select_columns(sig_cols)
+    # ---- stages 2-4: pairs, verified, clusters (resumable per stage) -
+    sigs = ray.data.read_parquet(sig_root).select_columns(dedup.signature_columns(cfg))
     corpus = ray.data.read_parquet(files)
 
-    # ---- stage 2: candidate pairs (mirrors dedup_pipeline) ----------
-    pairs_dir = os.path.join(out_dir, "pairs")
-    if not (resume and _manifest_ok(pairs_dir, cfg_hash, input_hash)):
-        t0 = time.perf_counter()
-        from ..stages.lsh import adaptive_cogroups
+    def _read(stage: str) -> "ray.data.Dataset":
+        return ray.data.read_parquet(os.path.join(out_dir, stage))
 
-        # co-group count scales with band-row volume exactly as in
-        # dedup_pipeline: a fixed 1024 would make each co-group frame
-        # corpus/1024-sized at real scale. count() on the signature
-        # checkpoint is parquet-metadata cheap.
-        keys_per_row = cfg.bands + (
-            cfg.phash_bands if cfg.use_phash_bands else 0
-        ) + 8
-        n_cg = adaptive_cogroups(sigs.count() * keys_per_row)
-        band_rows = explode_band_rows(sigs, band_cols=("bands",))
-        substr = corpus.select_columns(["image_id", "caption"]).map_batches(
-            SubstringFingerprints, fn_constructor_args=(cfg,),
-            batch_format="pyarrow", batch_size=4096, concurrency=(1, 4),
-        )
-        cands = candidate_pairs(
-            band_rows.union(substr), cfg.bucket_cap, n_cogroups=n_cg
-        )
-        if cfg.use_phash_bands:
-            # image-side candidates: separate co-occurrence pass with
-            # the tight phash degeneracy threshold (ADVICE r1)
-            cands = cands.union(
-                cooccurrence_pairs(
-                    explode_band_rows(
-                        sigs, band_cols=("phash_bands",), carry_cols=("phash",)
-                    ),
-                    "band",
-                    "image_id",
-                    cap=cfg.phash_bucket_cap,
-                    drop_threshold=cfg.phash_drop_threshold,
-                    n_cogroups=n_cg,
-                    # same emission-time hamming prefilter as
-                    # dedup_pipeline (mirrored per ADVICE r1)
-                    attr_col="phash",
-                    attr_maxham=cfg.phash_max_hamming,
-                )
-            )
-        exact = exact_dup_pairs(sigs, cfg.bucket_cap)
-        manifest = _write_stage(
-            dedup_pairs(cands.union(exact), n_cogroups=max(1024, n_cg // 8)),
-            pairs_dir, "pairs", cfg_hash, input_hash, t0,
-        )
-    else:
-        manifest = json.load(open(os.path.join(pairs_dir, "_manifest.json")))
-        manifest["resumed"] = True
-    lineage["stages"].append(manifest)
-    if stop_after == "pairs":
-        return _finish()
-
-    # ---- stage 3: verify -------------------------------------------
-    ver_dir = os.path.join(out_dir, "verified")
-    if not (resume and _manifest_ok(ver_dir, cfg_hash, input_hash)):
-        t0 = time.perf_counter()
-        from ..stages.lsh import widen_blocks
-
-        # the checkpointed pair list may be a handful of small files;
-        # widen so the verify actor pools (one task per block) fill —
-        # free no-op when the edge list is already many blocks
-        pairs = widen_blocks(ray.data.read_parquet(pairs_dir).materialize(), 8)
-        prefilter_ham = cfg.use_phash_bands and cfg.phash_max_hamming is not None
-        with_cap = attach_pair_sides(
-            pairs,
-            sigs,
-            # phash rides the caption attach for the pre-decode hamming
-            # prune (mirrors dedup_pipeline)
-            ["caption", "bytes_key", "bytes_key2"] + (["phash"] if prefilter_ham else []),
-            method="auto",
-        )
-        cap_ok = with_cap.map_batches(
-            CaptionVerifier, fn_constructor_args=(cfg,),
-            batch_format="pyarrow", batch_size=1024, concurrency=(1, 4),
-        ).filter(expr="caption_dup == True")
-
-        # 128-bit bytes-equality short-circuit + phash prune — the SAME
-        # implementation as dedup_pipeline (stages/verify), so
-        # checkpointed-job results cannot drift from the flagship
-        exact_dups, needs_pixels = split_exact_and_prune(cap_ok, cfg)
-        needed: set[str] = set()
-        for b in needs_pixels.select_columns(["src_id", "dst_id"]).iter_batches(
-            batch_size=65536, batch_format="pyarrow"
-        ):
-            needed.update(b["src_id"].to_pylist())
-            needed.update(b["dst_id"].to_pylist())
-        with_bytes = attach_pair_sides(
-            needs_pixels, corpus, ["bytes", "fmt"], method="auto", id_filter=needed
-        )
-        verified = with_bytes.map_batches(
-            ImageVerifier, fn_constructor_args=(cfg,),
-            batch_format="pyarrow", batch_size=256, concurrency=(1, 4),
-        ).filter(expr="image_dup == True").select_columns(
-            ["src_id", "dst_id", "caption_score", "psnr_db", "capped"]
-        ).union(exact_dups)
-        manifest = _write_stage(verified, ver_dir, "verified", cfg_hash, input_hash, t0)
-    else:
-        manifest = json.load(open(os.path.join(ver_dir, "_manifest.json")))
-        manifest["resumed"] = True
-    lineage["stages"].append(manifest)
-    if stop_after == "verify":
-        return _finish()
-
-    # ---- stage 4: clusters -----------------------------------------
-    cl_dir = os.path.join(out_dir, "clusters")
-    if not (resume and _manifest_ok(cl_dir, cfg_hash, input_hash)):
-        t0 = time.perf_counter()
-        clusters = cc_union_find(ray.data.read_parquet(ver_dir))
-        manifest = _write_stage(clusters, cl_dir, "clusters", cfg_hash, input_hash, t0)
-    else:
-        manifest = json.load(open(os.path.join(cl_dir, "_manifest.json")))
-        manifest["resumed"] = True
-    lineage["stages"].append(manifest)
+    steps = [
+        ("pairs", "pairs", lambda: dedup.pairs_stage(sigs, cfg, POOL)),
+        ("verified", "verify", lambda: dedup.verified_stage(
+            _read("pairs").materialize(), sigs, corpus, cfg, concurrency=POOL)),
+        ("clusters", "cluster", lambda: dedup.clusters_stage(_read("verified"))),
+    ]
+    for stage, verb, run in steps:
+        stage_dir = os.path.join(out_dir, stage)
+        manifest = _read_manifest(stage_dir, cfg_hash, input_hash) if resume else None
+        if manifest is not None:
+            manifest["resumed"] = True
+        else:
+            t0 = time.perf_counter()
+            ds, stats = run()
+            tmp = stage_dir + ".tmp"
+            shutil.rmtree(tmp, ignore_errors=True)
+            ds.write_parquet(tmp)
+            manifest = {"stage": stage, **stats, "wall_s": round(time.perf_counter() - t0, 3),
+                        **stamp, "completed": True}
+            with open(os.path.join(tmp, "_manifest.json"), "w") as f:
+                json.dump(manifest, f, indent=2)
+            shutil.rmtree(stage_dir, ignore_errors=True)
+            os.rename(tmp, stage_dir)  # atomic publish
+        lineage["stages"].append(manifest)
+        if stop_after == verb:
+            break
     return _finish()

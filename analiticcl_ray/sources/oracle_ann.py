@@ -23,8 +23,9 @@ from .oracle_text import _tier_of
 
 def kmeans_oracle_path(sf_dir: str) -> str:
     from ..pipelines import ann as _ann_mod
+    from . import oracle_ann as _self_mod
 
-    tag = _src_tag(_ann_mod)
+    tag = _src_tag(_ann_mod, _self_mod)
     path = os.path.join(
         ORACLE_ROOT, f"kmeans_sf{_tier_of(sf_dir)}_{tag}.parquet"
     )

@@ -45,12 +45,20 @@ import ray.data
 from ray.data.aggregate import Sum
 
 
+#: edge count up to which ``cc_auto`` takes the driver union-find
+UNION_FIND_MAX_EDGES = 2_000_000
+
+
+def cc_route(n_edges: int, small_threshold: int = UNION_FIND_MAX_EDGES) -> str:
+    """The algorithm ``cc_auto`` picks for an edge list of ``n_edges``."""
+    return "union_find" if n_edges <= small_threshold else "label_prop"
+
+
 def cc_auto(
-    pairs: "ray.data.Dataset", small_threshold: int = 2_000_000, **lp_kwargs
+    pairs: "ray.data.Dataset", small_threshold: int = UNION_FIND_MAX_EDGES, **lp_kwargs
 ) -> "ray.data.Dataset":
-    """Route by measured edge count, the same policy the flagship's
-    ``cc_method="auto"`` applies (dedup.py): the verified-pair edge list
-    is orders of magnitude smaller than the corpus, so up to
+    """Route by measured edge count (``cc_route``): the verified-pair
+    edge list is orders of magnitude smaller than the corpus, so up to
     ``small_threshold`` edges the exact O(E a(E)) driver union-find wins
     outright (label propagation pays several shuffle+checksum rounds of
     fixed latency); beyond it, the distributed min-label path takes
@@ -58,7 +66,7 @@ def cc_auto(
     the count and the chosen algorithm consume one execution of the
     upstream pipeline, not two."""
     pairs = pairs.materialize()
-    if pairs.count() <= small_threshold:
+    if cc_route(pairs.count(), small_threshold) == "union_find":
         return cc_union_find(pairs)
     return cc_label_propagation(pairs, **lp_kwargs)
 

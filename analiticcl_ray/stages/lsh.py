@@ -1028,15 +1028,3 @@ def dedup_pairs(
     return grouped_by_cogroup(
         pairs.map_batches(_local, batch_format="pyarrow"), "cogroup", n_cogroups
     ).map_groups(_dedup, batch_format="pandas")
-
-
-def exact_dup_pairs(
-    ds: "ray.data.Dataset", bucket_cap: int = 256, id_col: str = "image_id",
-    keep_sentinels: bool = False, n_cogroups: int = 1024,
-) -> "ray.data.Dataset":
-    """Exact content duplicates via content_key co-occurrence (vocab
-    upsert analog A3/D4, src/lib.rs:899-967)."""
-    return cooccurrence_pairs(
-        ds.select_columns(["content_key", id_col]), "content_key", id_col,
-        bucket_cap, keep_sentinels=keep_sentinels, n_cogroups=n_cogroups,
-    )

@@ -340,9 +340,8 @@ def _attach_cogroup(
 
 
 def split_exact_and_prune(survivors: "ray.data.Dataset", cfg):
-    """Route caption-surviving pairs to the image phase — ONE
-    implementation shared by dedup_pipeline and the checkpointed
-    runner (they must stay result-identical):
+    """Route caption-surviving pairs to the image phase
+    (pipelines/dedup.verified_stage):
 
     1. 128-bit bytes-equality short-circuit: pairs whose two
        independent 64-bit content hashes both match (ADVICE r1 — a
@@ -355,10 +354,11 @@ def split_exact_and_prune(survivors: "ray.data.Dataset", cfg):
        pairs farther than ``cfg.phash_max_hamming`` can never pass
        the pixel verify — dropped BEFORE bytes are attached/decoded.
 
-    Returns ``(exact_dups, needs_pixels)``; ``survivors`` must carry
-    src/dst ``bytes_key``/``bytes_key2`` (and ``phash`` when pruning).
-    The flagged set is materialized once so both filters read cached
-    blocks (edge-list-sized: surviving pairs only)."""
+    Returns ``(n_survivors, exact_dups, needs_pixels)``; ``survivors``
+    must carry src/dst ``bytes_key``/``bytes_key2`` (and ``phash`` when
+    pruning). The flagged set is materialized once, which executes
+    ``survivors`` (the caption verify) once; both filters read its
+    cached blocks (edge-list-sized: surviving pairs only)."""
     import pyarrow.compute as pc
 
     def _split_exact(batch: pa.Table) -> pa.Table:
@@ -391,7 +391,7 @@ def split_exact_and_prune(survivors: "ray.data.Dataset", cfg):
         needs_pixels = needs_pixels.map_batches(
             _phash_near, batch_format="pyarrow"
         )
-    return exact_dups, needs_pixels
+    return flagged.count(), exact_dups, needs_pixels
 
 
 # --------------------------------------------------------------------

@@ -68,8 +68,11 @@ def _install_stderr_filter() -> None:
     import atexit
 
     def _drain():
-        # give the pump a beat to flush tail bytes before exit
-        time.sleep(0.2)
+        # restore fd 2 (closing the pipe's last write end, so the pump
+        # sees EOF after the tail bytes), then wait for the pump to
+        # forward them: crash output written at exit is not lost
+        os.dup2(orig, 2)
+        t.join(timeout=5.0)
 
     atexit.register(_drain)
 
