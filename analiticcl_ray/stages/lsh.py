@@ -162,6 +162,34 @@ def hot_keys(rows: "ray.data.Dataset", key_col: str) -> "ray.data.Dataset":
 DROPPED_SENTINEL = "__DROPPED_BUCKET__"
 
 
+def sentinel_rows(
+    dropped: list, cogroup: int, salt=0, id_dtype: str = "str", n_cogroups: int = 1024
+) -> tuple[np.ndarray, np.ndarray]:
+    """(src_id, dst_id) of the sentinel rows reporting one cogroup's
+    dropped buckets: one row per entry of ``dropped`` (the bucket's raw
+    row count). src_id encodes (salt, cogroup, seq) so every sentinel is
+    globally unique — across passes with distinct salts too — and
+    survives any downstream ``dedup_pairs``. str ids: src is
+    DROPPED_SENTINEL, salt, cogroup and seq joined by ``:``, dst is
+    ``1:<rows>``; int ids: src is a negative id built from (cogroup,
+    seq) plus the parity of an int salt (0 for any other salt), dst is
+    the row count. ``tally_sentinels`` decodes both."""
+    if id_dtype == "str":
+        return (
+            np.array(
+                [f"{DROPPED_SENTINEL}:{salt}:{cogroup}:{seq}" for seq in range(len(dropped))],
+                dtype=object,
+            ),
+            np.array([f"1:{nrows}" for nrows in dropped], dtype=object),
+        )
+    parity = salt & 1 if isinstance(salt, int) else 0
+    seq = np.arange(len(dropped), dtype=np.int64)
+    return (
+        -(1 + 2 * (cogroup + n_cogroups * seq) + parity),
+        np.asarray(dropped, dtype=np.int64),
+    )
+
+
 def adaptive_cogroups(
     n_rows: Optional[int], rows_per_group: int = 500_000, floor: int = 1024
 ) -> int:

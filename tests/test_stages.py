@@ -477,3 +477,121 @@ def test_banded_hamming_pairs_capped_bucket_connectivity(ray_session):
         if s in parent and d in parent:
             parent[find(s)] = find(d)
     assert len({find(i) for i in ids[:40]}) == 1
+
+
+def test_sentinel_codec_round_trip(ray_session):
+    """sentinel_rows -> tally_sentinels gives back exactly the dropped
+    bucket count and row total, strip_sentinels removes every sentinel
+    row and nothing else, and the encoding is the pinned wire format
+    (str: ``__DROPPED_BUCKET__:{salt}:{cg}:{seq}`` -> ``1:{rows}``; int:
+    negative ids carrying the salt's parity)."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+
+    from analiticcl_ray.stages.lsh import (
+        sentinel_rows,
+        strip_sentinels,
+        tally_sentinels,
+    )
+
+    s, d = sentinel_rows([40, 7], 5, 1, "str")
+    assert list(s) == ["__DROPPED_BUCKET__:1:5:0", "__DROPPED_BUCKET__:1:5:1"]
+    assert list(d) == ["1:40", "1:7"]
+    s, d = sentinel_rows([40, 7], 5, "inc", "str")
+    assert list(s) == ["__DROPPED_BUCKET__:inc:5:0", "__DROPPED_BUCKET__:inc:5:1"]
+    s, d = sentinel_rows([40, 7], 5, 1, "int", n_cogroups=64)
+    assert s.tolist() == [-(1 + 2 * 5 + 1), -(1 + 2 * (5 + 64) + 1)]
+    assert d.tolist() == [40, 7]
+    assert sentinel_rows([40], 5, "inc", "int")[0].tolist() == [-(1 + 2 * 5)]
+
+    rng = np.random.default_rng(11)
+    dropped_by_cg = {cg: rng.integers(2, 500, size=int(rng.integers(0, 4))).tolist()
+                     for cg in range(12)}
+    n_buckets = sum(len(v) for v in dropped_by_cg.values())
+    n_rows = sum(sum(v) for v in dropped_by_cg.values())
+    assert n_buckets > 0
+    for id_dtype, salts in (("str", (0, 1, "inc")), ("int", (0, 1, "inc"))):
+        for salt in salts:
+            pair_src = np.arange(30) if id_dtype == "int" else np.array(
+                [f"a{i:03d}" for i in range(30)], dtype=object)
+            pair_dst = pair_src + 100 if id_dtype == "int" else np.array(
+                [f"b{i:03d}" for i in range(30)], dtype=object)
+            srcs, dsts = [pair_src], [pair_dst]
+            for cg, dropped in dropped_by_cg.items():
+                s, d = sentinel_rows(dropped, cg, salt, id_dtype, n_cogroups=16)
+                srcs.append(s)
+                dsts.append(d)
+            id_type = pa.string() if id_dtype == "str" else pa.int64()
+            src_all = np.concatenate(srcs)
+            # globally unique within one salt
+            assert len(set(src_all.tolist())) == len(src_all)
+            tab = pa.table({
+                "src_id": pa.array(src_all, id_type),
+                "dst_id": pa.array(np.concatenate(dsts), id_type),
+                "capped": pa.array(
+                    [False] * 30 + [True] * (len(src_all) - 30), pa.bool_()),
+            })
+            ds = rd.from_arrow(tab).repartition(3)
+            stats: dict = {}
+            tally_sentinels(ds, stats, id_dtype)
+            assert stats == {"dropped_buckets": n_buckets, "dropped_rows": n_rows}
+            kept = strip_sentinels(ds, id_dtype).to_pandas()
+            assert sorted(kept["src_id"].tolist()) == sorted(pair_src.tolist())
+            assert sorted(kept["dst_id"].tolist()) == sorted(pair_dst.tolist())
+            assert not kept["capped"].any()
+
+
+def test_simhash_pairs_capped_bucket_connectivity(ray_session):
+    """Int-id counterpart of the banded-hamming cap test, on the
+    simhash path: under a tiny bucket cap every emitted pair is a
+    subset of brute-force hamming <= k and carries its exact hamming,
+    and a same-hash clique bigger than the cap stays CONNECTED through
+    its salted chain links."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+
+    from analiticcl_ray.image.codec import hamming64
+    from analiticcl_ray.pipelines.text import (
+        simhash_dup_pairs,
+        simhash_fingerprints,
+    )
+
+    n_clique = 40
+    texts = ["the same boilerplate notice repeated across many pages"] * n_clique
+    texts += [
+        f"unrelated document {i} about topic {i * 7919 % 1000} with words {i ** 2}"
+        for i in range(40)
+    ]
+    docs = rd.from_arrow(
+        pa.table({"doc_id": pa.array(np.arange(len(texts)), pa.int64()),
+                  "text": pa.array(texts, pa.string())})
+    )
+    got = simhash_dup_pairs(docs, max_hamming=3, bucket_cap=8).to_pandas()
+    fp = simhash_fingerprints(docs).to_pandas()
+    hmap = dict(zip(fp["doc_id"].tolist(), fp["simhash"].tolist()))
+    ids = sorted(hmap)
+    hv = np.array([hmap[i] for i in ids], dtype=np.int64)
+    for a, b, hm in got[["a", "b", "hamming"]].values.tolist():
+        assert hm <= 3
+        assert hm == int(hamming64(np.array([hmap[a]]), np.array([hmap[b]]))[0])
+    iu, ju = np.triu_indices(len(ids), 1)
+    ham = hamming64(hv[iu], hv[ju])
+    bf = {(ids[a], ids[b]) for a, b, h in zip(iu, ju, ham) if int(h) <= 3}
+    pairs = set(map(tuple, got[["a", "b"]].values.tolist()))
+    assert pairs <= bf
+    # the clique is bigger than the cap, so salting fired
+    assert len(pairs) < n_clique * (n_clique - 1) // 2
+    parent = {i: i for i in range(n_clique)}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        if a in parent and b in parent:
+            parent[find(a)] = find(b)
+    assert len({find(i) for i in range(n_clique)}) == 1
