@@ -55,9 +55,11 @@ class DedupConfig:
                                           # near-identical phash (measured
                                           # max 4 bits across seeds) while
                                           # random natural-image pairs sit at
-                                          # ~32 bits (min observed 12), so 8
-                                          # is lossless for the verify
-                                          # semantics; None disables.
+                                          # ~32 bits (min observed 12). 8 is
+                                          # a measured margin, not a proven
+                                          # bound: a PSNR dup further apart
+                                          # is dropped uncounted; None
+                                          # disables.
     winnow_kgram: int = 20                # substring-stage k-gram length
     winnow_window: int = 8                # winnowing window (guarantee: spans
                                           # >= kgram+window-1 chars share a key)

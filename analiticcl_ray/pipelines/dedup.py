@@ -50,9 +50,9 @@ from ..stages.lsh import (
     cooccurrence_pairs_multi,
     dedup_pairs,
     explode_band_rows,
+    pair_summary,
     pool_width,
     strip_sentinels,
-    tally_sentinels,
     widen_blocks,
 )
 from ..stages.signatures import CaptionSignatures, phash_band_table
@@ -209,13 +209,17 @@ def pairs_stage(
     t_ps = time.perf_counter()
     pairs = dedup_pairs(cands, n_cogroups=max(1024, n_cg // 8)).materialize()
     stats: dict = {"t_pair_shuffle_s": _since(t_ps)}
-    # sentinel tally + strip over the (edge-list-sized) materialized
-    # pairs; sentinel rows are globally unique (one per dropped bucket,
-    # cogroup id encoded in src_id) so the post-dedup tally is exact
-    tally_sentinels(pairs, stats)
-    pairs = strip_sentinels(pairs).materialize()
-    stats["capped_pairs"] = pairs.filter(expr="capped == True").count()
-    return pairs, {"rows": pairs.count(), "wall_s": _since(t0), **stats}
+    # one summary pass over the (edge-list-sized) materialized pairs
+    # tallies the sentinels and counts the capped pairs; sentinel rows
+    # are globally unique (one per dropped bucket, cogroup id encoded in
+    # src_id) so the post-dedup tally is exact. Only a list that holds
+    # sentinels is stripped and materialized again.
+    summary = pair_summary(pairs)
+    n_pairs = summary.pop("pairs")
+    stats.update(summary)
+    if summary["dropped_buckets"]:
+        pairs = strip_sentinels(pairs).materialize()
+    return pairs, {"rows": n_pairs, "wall_s": _since(t0), **stats}
 
 
 def verified_stage(

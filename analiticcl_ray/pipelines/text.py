@@ -1584,7 +1584,7 @@ def minhash_dedup_pairs(
     when the gram vocabulary (df pass, small aggregate) is bounded."""
     import ray
 
-    from ..stages.lsh import candidate_pairs, dedup_pairs
+    from ..stages.lsh import cooccurrence_pairs, dedup_pairs
 
     # widen banding only when the caller left cfg at the defaults — an
     # explicit DedupConfig(bands=...) is a deliberate recall/volume
@@ -1616,10 +1616,11 @@ def minhash_dedup_pairs(
     # valve that keeps candidate volume sane when the corpus's
     # background similarity makes banding unselective
     cand = dedup_pairs(
-        candidate_pairs(
+        cooccurrence_pairs(
             sig.map_batches(_explode, batch_format="pyarrow"),
+            "band",
+            "doc_id",
             cfg.bucket_cap,
-            id_col="doc_id",
             id_dtype="int",
             attr_col="n_grams",
             attr_ratio=jaccard_threshold,
@@ -1757,6 +1758,7 @@ def incremental_minhash_dedup_pairs(
     from ..stages.lsh import (
         dedup_pairs,
         emit_bucket_pairs_attr,
+        sentinel_rows,
         strip_sentinels,
         tally_sentinels,
     )
@@ -1957,12 +1959,11 @@ def incremental_minhash_dedup_pairs(
                 srcs.append(ids[i[ok]])
                 dsts.append(ids[j[ok]])
                 caps.append(np.full(int(ok.sum()), was_capped))
-        for seq, nrows in enumerate(dropped):
-            srcs.append(
-                np.array([-(1 + 2 * (cg + n_cogroups * seq))], np.int64)
-            )
-            dsts.append(np.array([nrows], np.int64))
-            caps.append(np.array([True]))
+        if dropped:
+            sent_s, sent_d = sentinel_rows(dropped, cg, "inc", "int", n_cogroups)
+            srcs.append(sent_s)
+            dsts.append(sent_d)
+            caps.append(np.ones(len(dropped), bool))
         if not srcs:
             return pa.table(
                 {
@@ -2303,14 +2304,14 @@ def simhash_dup_pairs(
     simhash column.
 
     Round 4: the full simhash rides the band rows, so the EXACT
-    hamming is computed and filtered inside the band bucket
-    (lsh.cooccurrence_hamming_pairs, id_dtype="int") and carried
-    through the pair dedup — the slim attach + re-verify stage and the
-    fingerprint materialize barrier are gone (the signature table now
-    has exactly one consumer). Same shape the image/audio/video tiers
-    took; output identical (hash-green vs the unchanged DuckDB
-    oracle)."""
-    from ..stages.lsh import cooccurrence_hamming_pairs, dedup_pairs
+    hamming is computed and filtered inside the band bucket (the
+    ``exact_hamming`` switch of lsh.cooccurrence_pairs_multi, int ids)
+    and carried through the pair dedup — the slim attach + re-verify
+    stage and the fingerprint materialize barrier are gone (the
+    signature table now has exactly one consumer). Same shape the
+    image/audio/video tiers took; output identical (hash-green vs the
+    unchanged DuckDB oracle)."""
+    from ..stages.lsh import cooccurrence_pairs_multi, dedup_pairs
 
     assert max_hamming < n_bands, "pigeonhole completeness needs k < n_bands"
     width = 64 // n_bands
@@ -2343,9 +2344,15 @@ def simhash_dup_pairs(
         )
 
     verified = dedup_pairs(
-        cooccurrence_hamming_pairs(
-            sims.map_batches(_bands, batch_format="pyarrow"),
-            "band", "doc_id", "simhash", max_hamming, cap=bucket_cap,
+        cooccurrence_pairs_multi(
+            [
+                {
+                    "rows": sims.map_batches(_bands, batch_format="pyarrow"),
+                    "key_col": "band", "cap": bucket_cap, "attr_col": "simhash",
+                    "attr_maxham": max_hamming, "exact_hamming": True,
+                }
+            ],
+            "doc_id",
             id_dtype="int",
         ),
         id_dtype="int",
@@ -3530,7 +3537,7 @@ def shared_span_pairs(
     fingerprint buckets larger than ``bucket_cap``, which are salted and
     flagged via the ``capped`` pair column upstream — raise the cap if
     exactness across mega-clusters matters more than skew safety."""
-    from ..stages.lsh import candidate_pairs, dedup_pairs
+    from ..stages.lsh import cooccurrence_pairs, dedup_pairs
 
     if not (1 <= window <= min_span):
         raise ValueError("need 1 <= window <= min_span")
@@ -3542,8 +3549,8 @@ def shared_span_pairs(
         concurrency=(1, 4),
     )
     cand = dedup_pairs(
-        candidate_pairs(
-            band_rows, bucket_cap, id_col="doc_id", id_dtype="int"
+        cooccurrence_pairs(
+            band_rows, "band", "doc_id", bucket_cap, id_dtype="int"
         ),
         id_dtype="int",
     )

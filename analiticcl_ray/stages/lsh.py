@@ -8,19 +8,16 @@ or any phash bit-slice band become candidate pairs, later confirmed by
 the exact verify kernel. Recall vs the reference's guaranteed-complete
 neighborhood search is a measured target (>=0.99, BASELINE.json).
 
-Performance shape (this matters at 10^12 rows):
-- Nearly every band key is a singleton (unique caption -> unique band
-  hashes). Feeding all of them to ``groupby().map_groups`` costs a
-  Python/pandas invocation per singleton group. Instead we first run a
-  vectorized ``groupby(key).count()`` (hash/sort aggregate, no Python
-  per group), keep only keys with count >= 2 ("hot" keys), semi-join the
-  band rows against that hot set, and only then run the per-group pair
-  emission — Python touches only groups that can emit a pair.
-- The hot-key set rides to workers as one broadcast object (``ray.put``
-  once). At extreme scale, replace the broadcast with a Dataset.join
-  against the hot-key table (same shuffle count); the broadcast is
-  correct while hot keys ≈ duplicate rows × bands fit in the object
-  store, which holds by the dedup premise (dups ≪ corpus).
+Performance shape (this matters at 10^12 rows): nearly every band key
+is a singleton (unique caption -> unique band hashes), so the exchange
+is never keyed by the band itself — that would cost one Python/pandas
+call per singleton group. ``cooccurrence_pairs_multi``, the one
+emitter, shuffles ONCE on a coarse integer co-group (a hash of the band
+key; every row of a band lands in the same co-group, and the co-group
+count scales with the rows entering the shuffle, ``adaptive_cogroups``).
+Inside a co-group, ``emit_pairs_grouped`` drops singleton keys and
+emits every bucket's pairs with numpy ops per bucket SIZE class, so
+Python runs once per co-group, not once per key.
 
 Skew handling (north rule): a boilerplate caption puts thousands of ids
 into one band bucket -> O(n^2) pair blowup. Buckets larger than
@@ -46,7 +43,6 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data
-from ray.data.aggregate import Max
 
 
 def explode_band_rows(
@@ -144,19 +140,6 @@ def emit_bucket_pairs(ids: list, cap: int) -> tuple[list, list, bool]:
             src.append(chunk[0])
             dst.append(ids[c0 + cap])
     return src, dst, capped
-
-
-def hot_keys(rows: "ray.data.Dataset", key_col: str) -> "ray.data.Dataset":
-    """Keys occurring >= 2 times — a vectorized aggregate, no Python
-    per group."""
-    return (
-        rows.groupby(key_col)
-        .count()
-        .map_batches(
-            lambda t: t.filter(pc.greater_equal(t["count()"], pa.scalar(2))),
-            batch_format="pyarrow",
-        )
-    )
 
 
 DROPPED_SENTINEL = "__DROPPED_BUCKET__"
@@ -271,10 +254,11 @@ def emit_bucket_pairs_attr(
       (|A∩B| <= min sizes, |A∪B| >= max sizes), so the filter is
       exact-safe: every dropped pair would fail the exact verify anyway.
     - ``maxham``: attr is a 64-bit fingerprint (e.g. the full phash);
-      keep only pairs with ``popcount(a ^ b) <= maxham``. Lossless for
-      the dedup semantics when the verify requires near-identical
-      images (PSNR>=40dB dups measure <=4 phash bits apart; random
-      pairs ~32).
+      keep only pairs with ``popcount(a ^ b) <= maxham``. A measured
+      bound, not a proven one: on the seeded corpora PSNR>=40dB dups
+      measured <=4 phash bits apart and random pairs ~32, but nothing
+      forces a PSNR dup under ``maxham``, so a pair above it is lost
+      without any count. Set ``maxham=None`` where that matters.
 
     Salting chain links are kept unconditionally (connectivity for CC
     consumers). ``ids`` must be unique and sorted ascending with
@@ -284,14 +268,10 @@ def emit_bucket_pairs_attr(
     verified distance straight out of the bucket, skipping the slim
     attach + re-verify stage entirely)."""
     n = len(ids)
-    if n < 2:
-        if return_attrs:
-            return ids[:0], ids[:0], attrs[:0], attrs[:0], False
-        return ids[:0], ids[:0], False
-    srcs: list = []
-    dsts: list = []
-    a_srcs: list = []
-    a_dsts: list = []
+    srcs: list = [ids[:0]]
+    dsts: list = [ids[:0]]
+    a_srcs: list = [attrs[:0]]
+    a_dsts: list = [attrs[:0]]
     capped = n > cap
     for c0 in range(0, n, cap):
         idc = ids[c0 : c0 + cap]
@@ -314,24 +294,17 @@ def emit_bucket_pairs_attr(
             keep = np.ones(len(a), dtype=bool)
         srcs.append(idc[iu[keep]])
         dsts.append(idc[ju[keep]])
-        if return_attrs:
-            a_srcs.append(a[keep])
-            a_dsts.append(b[keep])
+        a_srcs.append(a[keep])
+        a_dsts.append(b[keep])
         if c0 + cap < n:  # chain link keeps the bucket connected
             srcs.append(idc[:1])
             dsts.append(ids[c0 + cap : c0 + cap + 1])
-            if return_attrs:
-                a_srcs.append(atc[:1])
-                a_dsts.append(attrs[c0 + cap : c0 + cap + 1])
+            a_srcs.append(atc[:1])
+            a_dsts.append(attrs[c0 + cap : c0 + cap + 1])
+    out = (np.concatenate(srcs), np.concatenate(dsts))
     if return_attrs:
-        return (
-            np.concatenate(srcs),
-            np.concatenate(dsts),
-            np.concatenate(a_srcs),
-            np.concatenate(a_dsts),
-            capped,
-        )
-    return np.concatenate(srcs), np.concatenate(dsts), capped
+        out += (np.concatenate(a_srcs), np.concatenate(a_dsts))
+    return out + (capped,)
 
 
 def grouped_by_cogroup(ds: "ray.data.Dataset", key: str, n_cogroups: int):
@@ -394,12 +367,21 @@ def emit_pairs_grouped(
     of the bucket so an exact-by-attr caller (banded hash hamming) can
     finish verification without any downstream attach."""
     assert not return_attrs or attrs is not None
-    empty = ids[:0]
-    e_attr = attrs[:0] if attrs is not None else None
-    if len(keys) == 0:
+    srcs: list = [ids[:0]]
+    dsts: list = [ids[:0]]
+    caps: list = [np.zeros(0, dtype=bool)]
+    at_s: list = [attrs[:0]] if return_attrs else []
+    at_d: list = at_s[:]
+    dropped: list = []
+
+    def _out() -> tuple:
+        out = (np.concatenate(srcs), np.concatenate(dsts))
         if return_attrs:
-            return empty, empty, e_attr, e_attr, np.zeros(0, dtype=bool), []
-        return empty, empty, np.zeros(0, dtype=bool), []
+            out += (np.concatenate(at_s), np.concatenate(at_d))
+        return out + (np.concatenate(caps), dropped)
+
+    if len(keys) == 0:
+        return _out()
     order = np.lexsort((ids, keys))
     keys = keys[order]
     ids = ids[order]
@@ -419,19 +401,10 @@ def emit_pairs_grouped(
     dup[1:] = (~newkey[1:]) & (ids[1:] == ids[:-1])
     row_keep &= ~dup
     ids_u = ids[row_keep]
-    if not len(ids_u):
-        if return_attrs:
-            return empty, empty, e_attr, e_attr, np.zeros(0, dtype=bool), dropped
-        return empty, empty, np.zeros(0, dtype=bool), dropped
     at_u = attrs[row_keep] if attrs is not None else None
     starts = np.flatnonzero(newkey[row_keep])
     sizes = np.diff(np.append(starts, len(ids_u)))
     use_attr = at_u is not None and (ratio is not None or maxham is not None)
-    srcs: list = []
-    dsts: list = []
-    caps: list = []
-    at_s: list = []
-    at_d: list = []
     for n in np.unique(sizes):
         n = int(n)
         if n < 2:
@@ -442,32 +415,26 @@ def emit_pairs_grouped(
             for st in sel:
                 seg_ids = ids_u[st : st + n]
                 if use_attr or return_attrs:
-                    out = emit_bucket_pairs_attr(
+                    s, d, a_s, a_d, capped = emit_bucket_pairs_attr(
                         seg_ids, at_u[st : st + n], cap, ratio, maxham,
-                        return_attrs=return_attrs,
+                        return_attrs=True,
                     )
-                    if return_attrs:
-                        s, d, a_s, a_d, capped = out
-                    else:
-                        s, d, capped = out
                 else:
                     sl, dl, capped = emit_bucket_pairs(list(seg_ids), cap)
                     s = np.asarray(sl, dtype=ids_u.dtype)
                     d = np.asarray(dl, dtype=ids_u.dtype)
-                if len(s):
-                    srcs.append(s)
-                    dsts.append(d)
-                    caps.append(np.full(len(s), capped))
-                    if return_attrs:
-                        at_s.append(a_s)
-                        at_d.append(a_d)
+                srcs.append(s)
+                dsts.append(d)
+                caps.append(np.full(len(s), capped))
+                if return_attrs:
+                    at_s.append(a_s)
+                    at_d.append(a_d)
             continue
         idx = sel[:, None] + np.arange(n)
         idm = ids_u[idx]
         iu, ju = np.triu_indices(n, 1)
         s = idm[:, iu].ravel()
         d = idm[:, ju].ravel()
-        a = b = None
         if use_attr or return_attrs:
             am = at_u[idx]
             a = am[:, iu].ravel()
@@ -481,37 +448,16 @@ def emit_pairs_grouped(
                     ^ b.astype(np.int64).view(np.uint64)
                 )
                 keep = ham <= np.uint64(maxham)
-            s = s[keep]
-            d = d[keep]
+            s, d = s[keep], d[keep]
             if return_attrs:
-                a = a[keep]
-                b = b[keep]
-        if len(s):
-            srcs.append(s)
-            dsts.append(d)
-            caps.append(np.zeros(len(s), dtype=bool))
-            if return_attrs:
-                at_s.append(a)
-                at_d.append(b)
-    if not srcs:
+                a, b = a[keep], b[keep]
+        srcs.append(s)
+        dsts.append(d)
+        caps.append(np.zeros(len(s), dtype=bool))
         if return_attrs:
-            return empty, empty, e_attr, e_attr, np.zeros(0, dtype=bool), dropped
-        return empty, empty, np.zeros(0, dtype=bool), dropped
-    if return_attrs:
-        return (
-            np.concatenate(srcs),
-            np.concatenate(dsts),
-            np.concatenate(at_s),
-            np.concatenate(at_d),
-            np.concatenate(caps),
-            dropped,
-        )
-    return (
-        np.concatenate(srcs),
-        np.concatenate(dsts),
-        np.concatenate(caps),
-        dropped,
-    )
+            at_s.append(a)
+            at_d.append(b)
+    return _out()
 
 
 def cooccurrence_pairs(
@@ -530,242 +476,28 @@ def cooccurrence_pairs(
     attr_maxham: Optional[int] = None,
 ) -> "ray.data.Dataset":
     """(key, id) rows -> canonical candidate pairs (src < dst) for every
-    key shared by >= 2 ids, with salting above ``cap``.
-
-    ``sentinel_salt``: callers that UNION the sentinel-carrying outputs
-    of several cooccurrence passes before one shared ``dedup_pairs``
-    must give each pass a distinct salt — sentinel uniqueness is
-    otherwise only per-call, and two passes could emit byte-identical
-    sentinels (same cogroup, seq, row count) that the pair dedup would
-    collapse, undercounting drops.
-
-    ONE shuffle, keyed by a coarse integer co-group bucket (hash of the
-    key): every row of a key lands in the same bucket (superset
-    co-location), singleton keys are eliminated by a C-speed pandas
-    ``value_counts`` inside the group, and Python-level pair emission
-    touches only keys that can emit a pair. This replaces the earlier
-    two-pass design (count keys -> semi-join -> group again), halving
-    the shuffle count and avoiding a sort over wide key columns.
-
-    ``drop_threshold`` (default 8*cap): a key shared by more ids than
-    this is a *degenerate* bucket — no discriminative signal (the
-    stop-word-shingle analog of the reference's hard search-space caps,
-    src/lib.rs:42-46) and would still emit O(n*cap) pairs after salting.
-    Such keys are dropped and *reported*: the group emits one sentinel
-    row PER dropped bucket, globally unique (the cogroup id and a
-    per-group sequence number are encoded into src_id), so downstream
-    ``dedup_pairs`` can never collapse two sentinels (ADVICE r1) and the
-    caller's tally is exact — no silent caps. Recall for true
-    duplicates is carried by their other, non-degenerate keys.
-
-    ``attr_col`` + ``attr_ratio``/``attr_maxham``: optional per-id
-    integer attribute (gram-set size, or a 64-bit fingerprint) riding
-    the same shuffle; in-bucket pairs violating ``min >= ratio * max``
-    (ratio mode) or ``hamming(a, b) <= maxham`` (fingerprint mode) are
-    pruned BEFORE the pair dedup shuffle (see emit_bucket_pairs_attr —
-    both predicates are necessary conditions for their exact verifies).
-    This is the degeneracy valve for corpora whose background
-    similarity makes banding unselective."""
-    if drop_threshold is None:
-        drop_threshold = 8 * cap
-    use_attr = attr_col is not None and (
-        attr_ratio is not None or attr_maxham is not None
+    key shared by >= 2 ids, with salting above ``cap``: the one-source
+    call of ``cooccurrence_pairs_multi``, which documents every
+    option."""
+    return cooccurrence_pairs_multi(
+        [
+            {
+                "rows": rows,
+                "key_col": key_col,
+                "cap": cap,
+                "drop_threshold": drop_threshold,
+                "sentinel_salt": sentinel_salt,
+                "attr_col": attr_col,
+                "attr_ratio": attr_ratio,
+                "attr_maxham": attr_maxham,
+            }
+        ],
+        id_col,
+        id_dtype=id_dtype,
+        n_cogroups=n_cogroups,
+        keep_sentinels=keep_sentinels,
+        stats=stats,
     )
-
-    def _bucketize(batch: pa.Table) -> pa.Table:
-        kv = batch[key_col].to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
-        bucket = (kv ^ (kv >> 17)) % n_cogroups
-        cols = {
-            "cogroup": pa.array(bucket, pa.int64()),
-            key_col: batch[key_col],
-            id_col: batch[id_col],
-        }
-        if use_attr:
-            cols[attr_col] = batch[attr_col]
-        return pa.table(cols)
-
-    id_pd_dtype = "object" if id_dtype == "str" else "int64"
-
-    def _pairs_many(group: pd.DataFrame) -> pd.DataFrame:
-        cg = int(group["cogroup"].iloc[0]) if len(group) else 0
-        src, dst, capped, dropped = emit_pairs_grouped(
-            group[key_col].to_numpy(),
-            group[id_col].to_numpy(),
-            group[attr_col].to_numpy() if use_attr else None,
-            cap,
-            drop_threshold,
-            attr_ratio,
-            attr_maxham,
-        )
-        parts_s: list = [src]
-        parts_d: list = [dst]
-        parts_c: list = [capped]
-        if dropped:
-            # one sentinel per dropped bucket; src_id encodes (salt,
-            # cogroup, seq) so every sentinel row is globally unique —
-            # across unioned passes too — and survives any downstream
-            # drop_duplicates (ADVICE r1)
-            sent_s: list = []
-            sent_d: list = []
-            for seq, nrows in enumerate(dropped):
-                if id_pd_dtype == "object":
-                    sent_s.append(f"{DROPPED_SENTINEL}:{sentinel_salt}:{cg}:{seq}")
-                    sent_d.append(f"1:{nrows}")
-                else:
-                    sent_s.append(
-                        -(1 + 2 * (cg + n_cogroups * seq) + (sentinel_salt & 1))
-                    )
-                    sent_d.append(nrows)
-            parts_s.append(np.asarray(sent_s))
-            parts_d.append(np.asarray(sent_d))
-            parts_c.append(np.full(len(dropped), True))
-        id_pa_type = pa.string() if id_pd_dtype == "object" else pa.int64()
-        return pa.table(
-            {
-                "src_id": pa.array(np.concatenate(parts_s), id_pa_type),
-                "dst_id": pa.array(np.concatenate(parts_d), id_pa_type),
-                "capped": pa.array(
-                    np.concatenate(parts_c).astype(bool), pa.bool_()
-                ),
-            }
-        )
-
-    pairs = grouped_by_cogroup(
-        rows.map_batches(_bucketize, batch_format="pyarrow"),
-        "cogroup",
-        n_cogroups,
-    ).map_groups(_pairs_many, batch_format="pandas")
-    if keep_sentinels:
-        # caller (dedup_pipeline) tallies + strips sentinels in its final
-        # pair pass — sentinel rows are globally unique, so tallying
-        # after dedup_pairs is exact
-        return pairs
-    if stats is not None:
-        pairs = pairs.materialize()
-        tally_sentinels(pairs, stats, id_dtype)
-    return strip_sentinels(pairs, id_dtype)
-
-
-def cooccurrence_hamming_pairs(
-    rows: "ray.data.Dataset",
-    key_col: str,
-    id_col: str,
-    hash_col: str,
-    max_hamming: int,
-    cap: int = 256,
-    drop_threshold: Optional[int] = None,
-    stats: Optional[dict] = None,
-    n_cogroups: int = 1024,
-    sentinel_salt: int = 0,
-    id_dtype: str = "str",
-) -> "ray.data.Dataset":
-    """cooccurrence_pairs specialized for banded 64-bit hash hamming,
-    emitting the EXACT verified distance straight out of the bucket.
-
-    The in-bucket ``maxham`` prefilter of cooccurrence_pairs is already
-    the exact hamming over the full 64-bit hashes riding the band rows
-    — every id has exactly ONE hash, so a pair's hamming is identical
-    no matter which band bucket emitted it. Re-verifying after a slim
-    hash attach (the round-3 shape) therefore re-derived a number the
-    bucket already knew, at the cost of an extra materialize barrier
-    and a broadcast/cogroup lookup over the hash table. Here the
-    per-pair hash values ride out of the bucket
-    (emit_pairs_grouped(return_attrs=True)), hamming is computed in the
-    same task, and salted-chunk chain links — emitted unconditionally
-    for CC connectivity in the generic op — are subjected to the same
-    ``<= max_hamming`` filter the old downstream verify applied, so the
-    output pair set is identical to banded-emit + attach + verify.
-    Output: (src_id, dst_id, hamming, capped) with possible cross-band
-    duplicates — callers run dedup_pairs (which now carries extra
-    columns through) and strip sentinels (hamming = -1 on sentinel
-    rows). ``id_dtype``: "str" (the multimodal tiers) or "int"
-    (simhash over int64 doc_ids — sentinel rows use the negative-id
-    encoding of cooccurrence_pairs)."""
-    if drop_threshold is None:
-        drop_threshold = 8 * cap
-    id_pa_type = pa.string() if id_dtype == "str" else pa.int64()
-
-    def _bucketize(batch: pa.Table) -> pa.Table:
-        kv = batch[key_col].to_numpy(zero_copy_only=False).astype(
-            np.int64, copy=False
-        )
-        bucket = (kv ^ (kv >> 17)) % n_cogroups
-        return pa.table(
-            {
-                "cogroup": pa.array(bucket, pa.int64()),
-                key_col: batch[key_col],
-                id_col: batch[id_col],
-                hash_col: batch[hash_col],
-            }
-        )
-
-    def _pairs(group: pd.DataFrame) -> pa.Table:
-        cg = int(group["cogroup"].iloc[0]) if len(group) else 0
-        src, dst, a_s, a_d, capped, dropped = emit_pairs_grouped(
-            group[key_col].to_numpy(),
-            group[id_col].to_numpy(),
-            group[hash_col].to_numpy(),
-            cap,
-            drop_threshold,
-            None,
-            max_hamming,
-            return_attrs=True,
-        )
-        ham = _popcount_u64(
-            a_s.astype(np.int64).view(np.uint64)
-            ^ a_d.astype(np.int64).view(np.uint64)
-        ).astype(np.int64)
-        # chain links from salted chunks bypass the in-bucket prefilter;
-        # apply the exact filter here (the old attach+verify did this)
-        ok = ham <= max_hamming
-        src, dst, ham, capped = src[ok], dst[ok], ham[ok], capped[ok]
-        parts_s: list = [src]
-        parts_d: list = [dst]
-        parts_h: list = [ham]
-        parts_c: list = [capped]
-        if dropped:
-            if id_dtype == "str":
-                sent_s: list = [
-                    f"{DROPPED_SENTINEL}:{sentinel_salt}:{cg}:{seq}"
-                    for seq in range(len(dropped))
-                ]
-                sent_d: list = [f"1:{nrows}" for nrows in dropped]
-                parts_s.append(np.asarray(sent_s, dtype=object))
-                parts_d.append(np.asarray(sent_d, dtype=object))
-            else:
-                parts_s.append(
-                    np.asarray(
-                        [
-                            -(1 + 2 * (cg + n_cogroups * seq)
-                              + (sentinel_salt & 1))
-                            for seq in range(len(dropped))
-                        ],
-                        dtype=np.int64,
-                    )
-                )
-                parts_d.append(np.asarray(dropped, dtype=np.int64))
-            parts_h.append(np.full(len(dropped), -1, dtype=np.int64))
-            parts_c.append(np.full(len(dropped), True))
-        return pa.table(
-            {
-                "src_id": pa.array(np.concatenate(parts_s), id_pa_type),
-                "dst_id": pa.array(np.concatenate(parts_d), id_pa_type),
-                "hamming": pa.array(np.concatenate(parts_h), pa.int64()),
-                "capped": pa.array(
-                    np.concatenate(parts_c).astype(bool), pa.bool_()
-                ),
-            }
-        )
-
-    pairs = grouped_by_cogroup(
-        rows.map_batches(_bucketize, batch_format="pyarrow"),
-        "cogroup",
-        n_cogroups,
-    ).map_groups(_pairs, batch_format="pandas")
-    if stats is not None:
-        pairs = pairs.materialize()
-        tally_sentinels(pairs, stats, id_dtype)
-    return strip_sentinels(pairs, id_dtype)
 
 
 def cooccurrence_pairs_multi(
@@ -776,71 +508,60 @@ def cooccurrence_pairs_multi(
     keep_sentinels: bool = False,
     stats: Optional[dict] = None,
 ) -> "ray.data.Dataset":
-    """Several co-occurrence passes sharing ONE cogroup shuffle.
+    """The cogroup pair emitter: (key, id) rows of one or more sources
+    -> canonical pairs (src_id < dst_id, capped) for every key shared by
+    >= 2 ids, through ONE shuffle.
 
-    The flagship pipeline generates candidates from two key families
-    with different degeneracy policies (caption MinHash/winnow/content
-    keys at ``bucket_cap`` vs phash bit-slices at the tight
-    ``phash_bucket_cap`` + hamming prefilter). Running them as two
-    ``cooccurrence_pairs`` calls costs two all-to-all groupby exchanges
-    whose fixed per-stage latency dominates at small corpus sizes and
-    whose shuffle count doubles at large ones. Here every source's rows
-    ride ONE exchange: each source is normalized to
-    (cogroup, band, id, attr, side) — ``side`` is the source index,
-    ``attr`` a zero placeholder where unused — and the per-cogroup
-    emission splits by side and applies that side's (cap,
-    drop_threshold, prefilter, sentinel_salt) exactly as the separate
-    passes would. Bucketing is the same ``(k ^ (k >> 17)) % n`` hash,
-    so pair sets, capped flags and sentinel rows are identical
-    byte-for-byte to the unioned two-pass output (sentinel seq numbers
-    are per side per cogroup, as before).
+    The shuffle is keyed by a coarse integer co-group, ``(k ^ (k >> 17))
+    % n_cogroups`` of the key: every row of a key lands in the same
+    co-group, singleton keys are eliminated inside the group by
+    ``emit_pairs_grouped`` (numpy, no Python per key), and Python runs
+    once per co-group. Several sources (the flagship's caption keys at
+    ``bucket_cap`` and phash bit-slices at ``phash_bucket_cap``) ride
+    the same exchange tagged with an int8 ``side``; the emission splits
+    each co-group by side and applies that side's policy exactly as a
+    separate pass would, so the output equals the union of one-source
+    calls byte for byte. A one-source call ships only (cogroup, band,
+    id[, attr]) and never splits its groups.
 
-    Each ``sources`` entry: ``rows`` (Dataset), ``key_col``, ``cap``,
-    optional ``drop_threshold`` (default 8*cap), ``sentinel_salt``
-    (must be distinct across sources), optional ``attr_col`` +
-    ``attr_ratio``/``attr_maxham``."""
+    Each ``sources`` entry: ``rows`` (Dataset) and ``key_col`` (an
+    integer key column), ``cap``, and optionally:
+
+    - ``drop_threshold`` (default 8*cap): a key shared by more rows
+      than this is a *degenerate* bucket — no discriminative signal
+      (the stop-word-shingle analog of the reference's hard search-space
+      caps, src/lib.rs:42-46) that would still emit O(n*cap) pairs after
+      salting. It is dropped and reported: one sentinel row per dropped
+      bucket (``sentinel_rows``), tallied by ``tally_sentinels`` — no
+      silent caps. Recall for true duplicates is carried by their other,
+      non-degenerate keys.
+    - ``sentinel_salt``: distinct per source, and per pass when a caller
+      unions the sentinel-carrying outputs of several calls before one
+      shared ``dedup_pairs`` — otherwise two byte-identical sentinels
+      (same co-group, seq) would collapse and undercount drops.
+    - ``attr_col`` + ``attr_ratio``/``attr_maxham``: a per-id integer
+      attribute (gram-set size, or a 64-bit fingerprint) riding the
+      shuffle; in-bucket pairs violating ``min >= ratio * max`` or
+      ``hamming(a, b) <= maxham`` are pruned before the pair dedup (see
+      emit_bucket_pairs_attr). Salting chain links are kept.
+    - ``exact_hamming``: the attr is the id's ONE 64-bit hash, so the
+      in-bucket hamming is already the exact distance: emit it as a
+      ``hamming`` column (src_id, dst_id, hamming, capped; -1 on
+      sentinel rows) and hold the salting chain links to the same
+      ``<= attr_maxham``. The pair set then equals banded emit + hash
+      attach + verify, without that attach. Set on all sources or
+      none.
+
+    ``keep_sentinels`` returns the sentinel rows for the caller to tally
+    after its own ``dedup_pairs`` (sentinels are globally unique, so the
+    post-dedup tally is exact); otherwise ``stats`` (if given) receives
+    the tally and the sentinels are stripped."""
     assert len({s.get("sentinel_salt", 0) for s in sources}) == len(sources)
-    id_pa_type = pa.string() if id_dtype == "str" else pa.int64()
-
-    def _normalize(key_col: str, attr_col: Optional[str], side: int):
-        def _f(batch: pa.Table) -> pa.Table:
-            kv = batch[key_col].to_numpy(zero_copy_only=False).astype(
-                np.int64, copy=False
-            )
-            bucket = (kv ^ (kv >> 17)) % n_cogroups
-            n = len(batch)
-            if attr_col is not None:
-                attr = batch[attr_col]
-            else:
-                attr = pa.array(np.zeros(n, dtype=np.int64), pa.int64())
-            return pa.table(
-                {
-                    "cogroup": pa.array(bucket, pa.int64()),
-                    "band": pa.array(kv, pa.int64()),
-                    id_col: batch[id_col],
-                    "attr": attr,
-                    "side": pa.array(
-                        np.full(n, side, dtype=np.int8), pa.int8()
-                    ),
-                }
-            )
-
-        return _f
-
-    rows = None
-    for side, s in enumerate(sources):
-        part = s["rows"].map_batches(
-            _normalize(s["key_col"], s.get("attr_col"), side),
-            batch_format="pyarrow",
-        )
-        rows = part if rows is None else rows.union(part)
-
     side_cfg = [
         {
             "cap": s["cap"],
-            # explicit None check (ADVICE r4): a falsy-but-set 0 must
-            # mean "drop every bucket of >0 rows", exactly as
-            # cooccurrence_pairs resolves its own default
+            # explicit None check: a falsy-but-set 0 must mean "drop
+            # every bucket of >0 rows"
             "drop_threshold": (
                 8 * s["cap"]
                 if s.get("drop_threshold") is None
@@ -854,19 +575,57 @@ def cooccurrence_pairs_multi(
         }
         for s in sources
     ]
+    exact = {bool(s.get("exact_hamming")) for s in sources}
+    assert len(exact) == 1, "exact_hamming must be set on every source or none"
+    exact = exact.pop()
+    assert not exact or all(c["maxham"] is not None and c["use_attr"] for c in side_cfg)
+    with_attr = any(c["use_attr"] for c in side_cfg)
+    multi = len(sources) > 1
+    id_pa_type = pa.string() if id_dtype == "str" else pa.int64()
 
-    def _pairs_multi(group: pd.DataFrame) -> pa.Table:
+    def _normalize(key_col: str, attr_col: Optional[str], side: int):
+        def _f(batch: pa.Table) -> pa.Table:
+            kv = batch[key_col].to_numpy(zero_copy_only=False).astype(
+                np.int64, copy=False
+            )
+            n = len(batch)
+            cols = {
+                "cogroup": pa.array((kv ^ (kv >> 17)) % n_cogroups, pa.int64()),
+                "band": pa.array(kv, pa.int64()),
+                id_col: batch[id_col],
+            }
+            if with_attr:
+                cols["attr"] = (
+                    batch[attr_col]
+                    if attr_col is not None
+                    else pa.array(np.zeros(n, dtype=np.int64), pa.int64())
+                )
+            if multi:
+                cols["side"] = pa.array(np.full(n, side, dtype=np.int8), pa.int8())
+            return pa.table(cols)
+
+        return _f
+
+    rows = None
+    for side, (s, cfgd) in enumerate(zip(sources, side_cfg)):
+        part = s["rows"].map_batches(
+            _normalize(s["key_col"], s["attr_col"] if cfgd["use_attr"] else None, side),
+            batch_format="pyarrow",
+        )
+        rows = part if rows is None else rows.union(part)
+
+    def _pairs(group: pd.DataFrame) -> pa.Table:
         cg = int(group["cogroup"].iloc[0]) if len(group) else 0
-        parts_s: list = []
-        parts_d: list = []
-        parts_c: list = []
-        sides = group["side"].to_numpy()
+        sides = group["side"].to_numpy() if multi else None
+        parts_s: list = [np.zeros(0, dtype=object if id_dtype == "str" else np.int64)]
+        parts_d: list = parts_s[:]
+        parts_h: list = [np.zeros(0, dtype=np.int64)]
+        parts_c: list = [np.zeros(0, dtype=bool)]
         for i, cfgd in enumerate(side_cfg):
-            m = sides == i
-            if not m.any():
+            sub = group[sides == i] if multi else group
+            if not len(sub):
                 continue
-            sub = group[m]
-            src, dst, capped, dropped = emit_pairs_grouped(
+            out = emit_pairs_grouped(
                 sub["band"].to_numpy(),
                 sub[id_col].to_numpy(),
                 sub["attr"].to_numpy() if cfgd["use_attr"] else None,
@@ -874,47 +633,37 @@ def cooccurrence_pairs_multi(
                 cfgd["drop_threshold"],
                 cfgd["ratio"],
                 cfgd["maxham"],
+                return_attrs=exact,
             )
-            parts_s.append(src)
-            parts_d.append(dst)
-            parts_c.append(capped)
-            if dropped:
-                sent_s: list = []
-                sent_d: list = []
-                for seq, nrows in enumerate(dropped):
-                    if id_dtype == "str":
-                        sent_s.append(
-                            f"{DROPPED_SENTINEL}:{cfgd['salt']}:{cg}:{seq}"
-                        )
-                        sent_d.append(f"1:{nrows}")
-                    else:
-                        sent_s.append(
-                            -(1 + 2 * (cg + n_cogroups * seq) + (cfgd["salt"] & 1))
-                        )
-                        sent_d.append(nrows)
-                parts_s.append(np.asarray(sent_s))
-                parts_d.append(np.asarray(sent_d))
-                parts_c.append(np.full(len(dropped), True))
-        if not parts_s:
-            return pa.table(
-                {
-                    "src_id": pa.array([], id_pa_type),
-                    "dst_id": pa.array([], id_pa_type),
-                    "capped": pa.array([], pa.bool_()),
-                }
+            if exact:
+                src, dst, a_s, a_d, capped, dropped = out
+                ham = _popcount_u64(
+                    a_s.astype(np.int64).view(np.uint64)
+                    ^ a_d.astype(np.int64).view(np.uint64)
+                ).astype(np.int64)
+                # salting chain links bypass the in-bucket prefilter
+                ok = ham <= cfgd["maxham"]
+                src, dst, capped = src[ok], dst[ok], capped[ok]
+                parts_h += [ham[ok], np.full(len(dropped), -1, dtype=np.int64)]
+            else:
+                src, dst, capped, dropped = out
+            sent_s, sent_d = sentinel_rows(
+                dropped, cg, cfgd["salt"], id_dtype, n_cogroups
             )
-        return pa.table(
-            {
-                "src_id": pa.array(np.concatenate(parts_s), id_pa_type),
-                "dst_id": pa.array(np.concatenate(parts_d), id_pa_type),
-                "capped": pa.array(
-                    np.concatenate(parts_c).astype(bool), pa.bool_()
-                ),
-            }
-        )
+            parts_s += [src, sent_s]
+            parts_d += [dst, sent_d]
+            parts_c += [capped, np.ones(len(dropped), dtype=bool)]
+        cols = {
+            "src_id": pa.array(np.concatenate(parts_s), id_pa_type),
+            "dst_id": pa.array(np.concatenate(parts_d), id_pa_type),
+        }
+        if exact:
+            cols["hamming"] = pa.array(np.concatenate(parts_h), pa.int64())
+        cols["capped"] = pa.array(np.concatenate(parts_c).astype(bool), pa.bool_())
+        return pa.table(cols)
 
     pairs = grouped_by_cogroup(rows, "cogroup", n_cogroups).map_groups(
-        _pairs_multi, batch_format="pandas"
+        _pairs, batch_format="pandas"
     )
     if keep_sentinels:
         return pairs
@@ -939,44 +688,43 @@ def strip_sentinels(pairs: "ray.data.Dataset", id_dtype: str = "str") -> "ray.da
     return pairs.map_batches(_strip, batch_format="pyarrow")
 
 
+def pair_summary(pairs: "ray.data.Dataset", id_dtype: str = "str") -> dict:
+    """One pass over a sentinel-carrying pair list, one summary row per
+    block: ``dropped_buckets`` and ``dropped_rows`` decoded from the
+    sentinel rows (see ``sentinel_rows``), and ``pairs`` and
+    ``capped_pairs`` counted over the other rows."""
+    keys = ("dropped_buckets", "dropped_rows", "pairs", "capped_pairs")
+
+    def _summary(batch: pa.Table) -> pa.Table:
+        mask = _sentinel_mask(batch, id_dtype)
+        sent = batch.filter(mask)["dst_id"]
+        real = batch.filter(pc.invert(mask))
+        if id_dtype == "str":
+            parts = [v.split(":") for v in sent.to_pylist()]
+            db = sum(int(x) for x, _ in parts)
+            dr = sum(int(y) for _, y in parts)
+        else:
+            db, dr = len(sent), pc.sum(sent).as_py() or 0
+        capped = pc.sum(real["capped"].cast(pa.int64())).as_py() or 0
+        return pa.table({k: [v] for k, v in zip(keys, (db, dr, real.num_rows, capped))})
+
+    total = dict.fromkeys(keys, 0)
+    for b in pairs.map_batches(_summary, batch_format="pyarrow", batch_size=None).iter_batches(
+        batch_size=None, batch_format="pyarrow"
+    ):
+        for k in keys:
+            total[k] += pc.sum(b[k]).as_py() or 0
+    return total
+
+
 def tally_sentinels(
     pairs: "ray.data.Dataset", stats: dict, id_dtype: str = "str"
 ) -> None:
     """Accumulate dropped-bucket diagnostics from sentinel rows (one
     globally-unique sentinel per dropped bucket)."""
-    db = dr = 0
-
-    def _only_sentinels(batch: pa.Table) -> pa.Table:
-        return batch.filter(_sentinel_mask(batch, id_dtype))
-
-    for b in pairs.map_batches(_only_sentinels, batch_format="pyarrow").iter_batches(
-        batch_size=4096, batch_format="pyarrow"
-    ):
-        for v in b["dst_id"].to_pylist():
-            if id_dtype == "str":
-                x, y = str(v).split(":")
-                db += int(x)
-                dr += int(y)
-            else:
-                db += 1
-                dr += int(v)
-    stats["dropped_buckets"] = stats.get("dropped_buckets", 0) + db
-    stats["dropped_rows"] = stats.get("dropped_rows", 0) + dr
-
-
-def candidate_pairs(
-    band_rows: "ray.data.Dataset", bucket_cap: int = 256, id_col: str = "image_id",
-    id_dtype: str = "str", stats: Optional[dict] = None,
-    keep_sentinels: bool = False, n_cogroups: int = 1024,
-    sentinel_salt: int = 0, attr_col: Optional[str] = None,
-    attr_ratio: Optional[float] = None,
-) -> "ray.data.Dataset":
-    """groupby(band) -> canonical candidate pairs (src_id < dst_id)."""
-    return cooccurrence_pairs(
-        band_rows, "band", id_col, bucket_cap, id_dtype, stats=stats,
-        keep_sentinels=keep_sentinels, n_cogroups=n_cogroups,
-        sentinel_salt=sentinel_salt, attr_col=attr_col, attr_ratio=attr_ratio,
-    )
+    summary = pair_summary(pairs, id_dtype)
+    for k in ("dropped_buckets", "dropped_rows"):
+        stats[k] = stats.get(k, 0) + summary[k]
 
 
 def dedup_pairs(
@@ -1007,7 +755,7 @@ def dedup_pairs(
             index=False,
         ).to_numpy()
 
-    # extra columns (e.g. cooccurrence_hamming_pairs' ``hamming``) ride
+    # extra columns (e.g. the ``hamming`` of an exact_hamming emission) ride
     # through: dedup is keyed on (src_id, dst_id) only, and any carried
     # value is a function of the id pair (one hash per id), so keeping
     # the uncapped-first row is well-defined. Schema is pinned from the

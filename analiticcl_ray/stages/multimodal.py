@@ -393,16 +393,13 @@ def banded_hash_dup_pairs(
     ``max_hamming`` — including the salted-chunk chain links, so the
     pair set is identical to the former emit → slim-attach → re-verify
     chain while skipping that chain's extra materialize + lookup
-    stages entirely (round 4; lsh.cooccurrence_hamming_pairs). A pair
-    duplicated across bands carries the same hamming (one hash per
-    id), so the trailing dedup_pairs keeps any copy. Output: distinct
+    stages entirely (round 4; the ``exact_hamming`` switch of
+    lsh.cooccurrence_pairs_multi). A pair duplicated across bands
+    carries the same hamming (one hash per id), so the trailing
+    dedup_pairs keeps any copy. Output: distinct
     (src_id, dst_id, hamming), src < dst. Shuffle volume is bands x
     rows of (u64, id, i64); nothing else moves."""
-    from .lsh import (
-        cooccurrence_hamming_pairs,
-        dedup_pairs,
-        explode_band_rows,
-    )
+    from .lsh import cooccurrence_pairs_multi, dedup_pairs, explode_band_rows
     from .signatures import hash_band_table
 
     banded = hashes.map_batches(
@@ -413,8 +410,15 @@ def banded_hash_dup_pairs(
         banded, band_cols=(f"{hash_col}_bands",), id_col=id_col,
         carry_cols=(hash_col,),
     )
-    cand = cooccurrence_hamming_pairs(
-        rows, "band", id_col, hash_col, max_hamming, cap, stats=stats
+    cand = cooccurrence_pairs_multi(
+        [
+            {
+                "rows": rows, "key_col": "band", "cap": cap, "attr_col": hash_col,
+                "attr_maxham": max_hamming, "exact_hamming": True,
+            }
+        ],
+        id_col,
+        stats=stats,
     )
     return dedup_pairs(cand).select_columns(["src_id", "dst_id", "hamming"])
 
@@ -485,10 +489,10 @@ def incremental_banded_dup_pairs(
     import pyarrow.compute as pc
 
     from .lsh import (
-        DROPPED_SENTINEL,
         bucket_by_keys,
         dedup_pairs,
         emit_bucket_pairs_attr,
+        sentinel_rows,
         strip_sentinels,
         tally_sentinels,
     )
@@ -743,13 +747,14 @@ def incremental_banded_dup_pairs(
                 dsts.append(ids[j[ok]])
                 hams.append(ham[ok])
                 caps.append(np.full(int(ok.sum()), was_capped))
-        for seq, nrows in enumerate(dropped):
+        if dropped:
             # globally-unique sentinel per capped band (lsh.py scheme);
             # worker-side dict mutation would never reach the driver
-            srcs.append(np.array([f"{DROPPED_SENTINEL}:inc:{cg}:{seq}"], object))
-            dsts.append(np.array([f"1:{nrows}"], object))
-            hams.append(np.array([-1], np.int64))
-            caps.append(np.array([True]))
+            sent_s, sent_d = sentinel_rows(dropped, cg, "inc")
+            srcs.append(sent_s)
+            dsts.append(sent_d)
+            hams.append(np.full(len(dropped), -1, np.int64))
+            caps.append(np.ones(len(dropped), bool))
         # typed Arrow out (never an object-dtype pandas frame): empty
         # groups otherwise emit blocks Ray's size estimator can't
         # sample ("cannot call `vectorize` on size 0 inputs") and whose

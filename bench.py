@@ -3,7 +3,7 @@
 
 Prints ONE JSON line:
   {"metric": "...", "value": <headline sec>, "unit": "sec",
-   "queries": {...}, "sf": ..., "num_cpus": N,
+   "queries": {...}, "sf": ..., "num_cpus": N, "affinity_cpus": M,
    "verified_pairs": ..., "pairs_per_sec": ...}
 
 Headline = the flagship image+caption dedup pipeline (BASELINE.md:
@@ -23,7 +23,11 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+#: CPUs this process may run on (its affinity mask), at least 2
+AFFINITY_CPUS = max(2, len(os.sched_getaffinity(0)))
+#: Ray's num_cpus: the affinity count unless RAY_GRAFT_CPUS (set by the
+#: --scaling arms) asks for another
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", AFFINITY_CPUS))
 CORPUS_ROWS = int(os.environ.get("GRAFT_CORPUS_ROWS", "20000"))
 
 
@@ -172,6 +176,7 @@ def run_bench() -> dict:
             "queries": queries,
             "sf": SF_DIR,
             "num_cpus": NUM_CPUS,
+            "affinity_cpus": AFFINITY_CPUS,
             "corpus_rows": CORPUS_ROWS,
             "verified_pairs": verified,
             "pairs_per_sec": round(verified / headline, 2) if headline > 0 else None,
@@ -409,6 +414,7 @@ def run_bench() -> dict:
         "queries": queries,
         "sf": SF_DIR,
         "num_cpus": NUM_CPUS,
+        "affinity_cpus": AFFINITY_CPUS,
         "corpus_rows": CORPUS_ROWS,
         "verified_pairs": verified,
         "pairs_per_sec": round(verified / headline, 2) if headline > 0 else None,

@@ -595,3 +595,34 @@ def test_simhash_pairs_capped_bucket_connectivity(ray_session):
         if a in parent and b in parent:
             parent[find(a)] = find(b)
     assert len({find(i) for i in range(n_clique)}) == 1
+
+
+def test_pair_summary_counts_pairs_capped_and_sentinels(ray_session):
+    """pair_summary's one pass gives the sentinel tally plus the pair
+    and capped-pair counts over the non-sentinel rows — the figures
+    pairs_stage reports as dropped_buckets/dropped_rows, rows and
+    capped_pairs."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+
+    from analiticcl_ray.stages.lsh import pair_summary, sentinel_rows
+
+    for id_dtype in ("str", "int"):
+        sent_s, sent_d = sentinel_rows([9, 30], 3, 1, id_dtype)
+        if id_dtype == "str":
+            src = np.array([f"a{i}" for i in range(20)], dtype=object)
+            dst = np.array([f"b{i}" for i in range(20)], dtype=object)
+        else:
+            src, dst = np.arange(20), np.arange(20) + 50
+        capped = np.arange(20) % 4 == 0  # 5 capped pairs
+        id_type = pa.string() if id_dtype == "str" else pa.int64()
+        tab = pa.table({
+            "src_id": pa.array(np.concatenate([src, sent_s]), id_type),
+            "dst_id": pa.array(np.concatenate([dst, sent_d]), id_type),
+            "capped": pa.array(np.concatenate([capped, [True, True]]), pa.bool_()),
+        })
+        got = pair_summary(rd.from_arrow(tab).repartition(4), id_dtype)
+        assert got == {
+            "dropped_buckets": 2, "dropped_rows": 39, "pairs": 20, "capped_pairs": 5,
+        }
