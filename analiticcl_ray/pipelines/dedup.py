@@ -80,11 +80,15 @@ def _since(t0: float) -> float:
     return round(time.perf_counter() - t0, 3)
 
 
-def check_ray_can_run() -> None:
-    """Raise, before any actor pool starts, where the stage graph would
-    otherwise hang: fewer than ``MIN_RAY_CPUS`` Ray CPUs, or workers
-    that cannot import the stage classes' modules (Ray restarts such a
-    pool without end). One zero-CPU Ray task resolves those modules."""
+def check_ray_can_run(
+    stage_classes=(CaptionSignatures, SubstringFingerprints, CaptionVerifier, ImageVerifier),
+    min_cpus: int = MIN_RAY_CPUS,
+) -> None:
+    """Raise, before any actor pool starts, where a stage graph would
+    otherwise hang: fewer than ``min_cpus`` Ray CPUs, or workers that
+    cannot import the modules of ``stage_classes`` (Ray restarts such a
+    pool without end). One zero-CPU Ray task resolves those modules. The
+    defaults are the dedup stage graph's."""
     import importlib
 
     import ray
@@ -93,23 +97,21 @@ def check_ray_can_run() -> None:
         for name in names:
             importlib.import_module(name)
 
-    modules = sorted({
-        cls.__module__
-        for cls in (CaptionSignatures, SubstringFingerprints, CaptionVerifier, ImageVerifier)
-    })
+    modules = sorted({cls.__module__ for cls in stage_classes})
     # .remote() starts Ray if nothing has yet, as any Ray Data call would
     probe = ray.remote(num_cpus=0)(_resolve).remote(modules)
     cpus = ray.cluster_resources().get("CPU", 0)
-    if cpus < MIN_RAY_CPUS:
+    if cpus < min_cpus:
         raise RuntimeError(
-            f"the dedup stage graph needs at least {MIN_RAY_CPUS} Ray CPUs, "
-            f"this Ray session has {cpus:g}: start Ray with num_cpus>={MIN_RAY_CPUS}"
+            f"the stages {', '.join(c.__name__ for c in stage_classes)} need at "
+            f"least {min_cpus} Ray CPUs, this Ray session has {cpus:g}: start Ray "
+            f"with num_cpus>={min_cpus}"
         )
     try:
         ray.get(probe, timeout=_PROBE_TIMEOUT_S)
     except ray.exceptions.RayTaskError as e:
         raise RuntimeError(
-            f"Ray workers cannot import the dedup stage modules {modules}; "
+            f"Ray workers cannot import the stage modules {modules}; "
             "put the directory that holds analiticcl_ray on the workers' "
             "PYTHONPATH (or in the runtime_env) before starting Ray"
         ) from e

@@ -1668,6 +1668,13 @@ def minhash_signatures(
     )
 
 
+#: the local verify tail of ``incremental_minhash_dedup_pairs`` pulls
+#: the texts of at most this many referenced ids: with the gram
+#: vocabulary held to BITSET_VOCAB_LIMIT its dense (ids x vocab/64)
+#: uint64 mask stays within 256 MiB
+LOCAL_VERIFY_IDS = 1 << 15
+
+
 def incremental_minhash_dedup_pairs(
     new_docs: "ray.data.Dataset",
     ref_sigs: "ray.data.Dataset",
@@ -1681,71 +1688,36 @@ def incremental_minhash_dedup_pairs(
     local_pair_limit: int = 2_000_000,
     stats: dict | None = None,
 ) -> "ray.data.Dataset":
-    """Incremental (daily-ingest) TEXT near-dup dedup: MinHash-LSH
-    probe-vs-index join of a NEW document shard against a persisted
-    signature table (``minhash_signatures`` output of the already-
-    ingested corpus), verified by EXACT n-gram Jaccard — the asymmetric
-    analog of ``minhash_dedup_pairs`` the way
-    ``incremental_banded_dup_pairs`` (stages/multimodal.py) is the
-    asymmetric analog of ``banded_hash_dup_pairs``. Reference analog:
-    the anagram index IS a probe-vs-index lookup — queries probe a
-    persisted AnaIndex built once from the lexicon
-    (src/lib.rs:1143-1308); here the "index" is the band-key space of
-    the persisted corpus and the probe shard never re-pairs ref × ref.
+    """Incremental (daily-ingest) TEXT near-dup dedup: the probe-vs-index
+    join ``stages/lsh.probe_index_pairs`` of a NEW document shard's
+    MinHash bands against a persisted signature table
+    (``minhash_signatures`` of the already-ingested corpus), verified by
+    EXACT n-gram Jaccard — the asymmetric analog of
+    ``minhash_dedup_pairs``, as ``incremental_banded_dup_pairs``
+    (stages/multimodal.py) is of ``banded_hash_dup_pairs``. Only the new
+    shard is signed; the in-bucket pair test is the gram-set size ratio
+    (min >= t·max, necessary for J >= t, so exact-safe). Dropped ref rows
+    of over-``cap`` bands reach ``stats`` through the sentinel tally.
 
     Returns (a, b, jaccard): ``a`` is ALWAYS from the new shard, ``b``
     is new (a < b) or ref — ref × ref pairs are never formed, so at
     steady state (ref >> new) the pair population is O(|new| × dup
-    rate), not O(|corpus|²·collision rate).
+    rate). A re-ingested id is superseded: its stale signature and text
+    are dropped, so it never self-pairs and verifies on its fresh text.
 
-    Shape (mirrors the multimodal incremental op, round-4 fused form):
-
-    1. Only the NEW shard is signed (DocMinHash pool) — the persisted
-       ref side costs zero signature compute.
-    2. ONE streaming driver pull over the new signatures yields the
-       new-id broadcast (ref supersession + self-pair guard), the probe
-       band-key broadcast, AND the locally-exploded probe band rows
-       re-entered as ``from_arrow`` blocks — no probe-side materialize
-       barrier. The pull is O(|shard|·bands) (the bands column is
-       already band-wide); ``local_probe_limit`` bounds the exploded
-       row count, past which the explode runs distributed from the
-       pulled table (upstream executes exactly once either way).
-    3. Ref side: ONE fused map_batches — supersession anti-join (an id
-       re-ingested in the new shard drops its stale ref signature, so
-       it never self-pairs and always resolves to the fresh text) →
-       band explode → probe-key collision filter. A ref band row whose
-       key no new row shares dies at the map side, BEFORE the shuffle:
-       cogroup input is O(key collisions), not O(ref).
-    4. One band-bucket cogroup emits, per band key with >=2 rows and
-       >=1 new row, the new × new triangle plus the new × ref cross,
-       with the gram-set size-ratio prefilter (min >= t·max, a
-       NECESSARY condition for J >= t — exact-safe) applied in-bucket.
-       Groups over ``cap`` keep all new rows plus the id-ordered ref
-       prefix (new × new evidence is never sacrificed for ref fill);
-       dropped ref rows are reported through globally-unique sentinels
-       into ``stats`` — no silent caps. All-new degenerate bands take
-       the symmetric op's salted-chunk path.
-    5. Pair dedup + exact Jaccard verify, size-gated like the probe
-       explode: the emitted candidate stream is O(collisions), and
-       below ``local_pair_limit`` rows the tail runs LOCALLY — one
-       driver pull of the (materialized) candidates, pandas
-       drop_duplicates mirroring dedup_pairs, ONE task-only filtered
-       scan pulling just the referenced texts, and a vectorized bitset
-       Jaccard (gram vocab built over the needed texts only) on the
-       driver. Driver memory on this path is O(candidate pairs) int64
-       rows (~32 B each) + O(referenced ids) texts — bounded by
-       collisions, never the corpus. This deletes the dedup shuffle, the
-       broadcast-attach materialize and two actor-pool spawns whose
-       fixed latency made the probe slower than full recompute at
-       bench scale (the round-3 multimodal lesson). Above the limit
-       the distributed tail runs instead — dedup_pairs shuffle, then
-       texts attached only for ids referenced by surviving candidates
-       (``id_filter`` — bounded by collisions, the same contract as
-       dedup_pipeline's needed_ids) and an actor-pool verify; output
-       is identical either way (pytest-forced boundary parity). A
-       production deployment at ref sizes where even the filtered slim
-       text scan hurts would persist per-doc gram sketches next to the
-       signature index; the join shape is unchanged.
+    The verify tail is size-gated. With at most ``local_pair_limit``
+    candidate rows, at most ``LOCAL_VERIFY_IDS`` referenced ids and a
+    gram vocabulary (over the referenced texts only) of at most
+    ``BITSET_VOCAB_LIMIT``, it runs on the driver: pandas
+    drop_duplicates mirroring dedup_pairs, ONE task-only filtered scan
+    pulling just the referenced texts, and a vectorized bitset Jaccard.
+    Driver memory there is O(candidate pairs) (~32 B a row) +
+    O(referenced ids × (text + vocab/64 words)): the dense mask is at
+    most 256 MiB, and the pair-side AND runs in chunks of 32 MiB a side.
+    Past any gate (the vocabulary build stops as soon as it passes its
+    limit) the distributed tail runs instead: dedup_pairs shuffle, texts
+    attached only for referenced ids (``id_filter``), actor-pool verify.
+    Output is identical either way (pytest-forced boundary parity).
 
     Recall: both sides band identically (``_minhash_cfg``), so the
     per-pair candidate probability at J >= 0.8 is the symmetric op's
@@ -1753,360 +1725,37 @@ def incremental_minhash_dedup_pairs(
     restricted exact-Jaccard brute force with probability ≈ 1 (DuckDB
     hash oracle in __ray_entry__.py; brute-force pytest in
     tests/test_text_ops.py)."""
-    import ray as _ray
-
-    from ..stages.lsh import (
-        dedup_pairs,
-        emit_bucket_pairs_attr,
-        sentinel_rows,
-        strip_sentinels,
-        tally_sentinels,
-    )
+    from ..stages.lsh import dedup_pairs, probe_index_pairs, strip_sentinels, tally_sentinels
     from ..stages.verify import attach_pair_sides
 
     cfg = _minhash_cfg(cfg)
-    if cap is None:
-        cap = cfg.bucket_cap
-    n_cogroups = 1024
-
-    new_sigs = minhash_signatures(new_docs, cfg, n)
-
-    # --- step 2: one driver pull over the probe shard ------------------
-    id_parts: list = []
-    band_parts: list = []
-    sz_parts: list = []
-    for b in new_sigs.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        id_parts.append(b["doc_id"].combine_chunks())
-        band_parts.append(b["bands"].combine_chunks())
-        sz_parts.append(b["n_grams"].combine_chunks())
-
-    def _cat(parts, typ):
-        return (
-            pa.concat_arrays(
-                [a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a
-                 for a in parts]
-            )
-            if parts
-            else pa.array([], typ)
-        )
-
-    new_id_arr = _cat(id_parts, pa.int64())
-    band_type = pa.list_(pa.int64(), cfg.bands)
-    local = pa.table(
-        {
-            "doc_id": new_id_arr,
-            "bands": _cat(band_parts, band_type),
-            "n_grams": _cat(sz_parts, pa.int64()),
-        }
+    raw, supersede = probe_index_pairs(
+        minhash_signatures(new_docs, cfg, n),
+        ref_sigs.select_columns(["doc_id", "bands", "n_grams"]),
+        "doc_id",
+        "n_grams",
+        cfg.bands,
+        id_dtype="int",
+        cap=cfg.bucket_cap if cap is None else cap,
+        ratio=jaccard_threshold,
+        local_probe_limit=local_probe_limit,
     )
-    new_id_ref = _ray.put(new_id_arr)
-
-    def _explode(t: pa.Table, side: int) -> pa.Table:
-        arr = t["bands"].combine_chunks()
-        width = arr.type.list_size
-        idx = pa.array(np.repeat(np.arange(len(t), dtype=np.int64), width))
-        n_rows = len(t) * width
-        return pa.table(
-            {
-                "band": arr.flatten(),
-                "doc_id": t["doc_id"].take(idx),
-                "n_grams": t["n_grams"].take(idx),
-                "side": pa.array(np.full(n_rows, side, np.int8), pa.int8()),
-            }
-        )
-
-    use_local = len(local) * cfg.bands <= local_probe_limit
-    if use_local:
-        new_rows_local = (
-            _explode(local, 1)
-            if len(local)
-            else pa.table(
-                {
-                    "band": pa.array([], pa.int64()),
-                    "doc_id": pa.array([], pa.int64()),
-                    "n_grams": pa.array([], pa.int64()),
-                    "side": pa.array([], pa.int8()),
-                }
-            )
-        )
-        probe_keys = (
-            pc.unique(new_rows_local["band"].combine_chunks())
-            if len(new_rows_local)
-            else pa.array([], pa.int64())
-        )
-        n_slices = max(1, min(64, len(new_rows_local) // 16384 + 1))
-        step = -(-len(new_rows_local) // n_slices) if len(new_rows_local) else 1
-        new_rows = ray.data.from_arrow(
-            [
-                new_rows_local.slice(i * step, step)
-                for i in range(n_slices)
-                if i * step < max(1, len(new_rows_local))
-            ]
-        )
-    else:
-        # distributed fallback, fed from the pulled shard (upstream
-        # signature pool never re-executes)
-        n_sl = max(1, min(256, len(local) // 65536 + 1))
-        sl_step = -(-len(local) // n_sl)
-        base = ray.data.from_arrow(
-            [
-                local.slice(i * sl_step, sl_step)
-                for i in range(n_sl)
-                if i * sl_step < len(local)
-            ]
-        )
-        new_rows = base.map_batches(
-            lambda t: _explode(t, 1), batch_format="pyarrow"
-        ).materialize()  # two consumers: probe-key pull + band union
-        key_parts: list = []
-        for b in new_rows.select_columns(["band"]).iter_batches(
-            batch_size=65536, batch_format="pyarrow"
-        ):
-            key_parts.append(b["band"].combine_chunks())
-        probe_keys = pc.unique(_cat(key_parts, pa.int64()))
-    probe_keys_ref = _ray.put(probe_keys)
-
-    # --- step 3: fused ref side ----------------------------------------
-    def _ref_fused(batch: pa.Table) -> pa.Table:
-        keys = _ray.get(probe_keys_ref)
-        if len(keys) == 0:
-            # empty probe shard: skip the ×bands explode entirely
-            return _explode(batch.slice(0, 0), 0)
-        seen = _ray.get(new_id_ref)
-        if len(seen):
-            batch = batch.filter(
-                pc.invert(pc.is_in(batch["doc_id"], value_set=seen))
-            )
-        rows = _explode(batch, 0)
-        return rows.filter(pc.is_in(rows["band"], value_set=keys))
-
-    rows = new_rows.union(
-        ref_sigs.select_columns(["doc_id", "bands", "n_grams"]).map_batches(
-            _ref_fused, batch_format="pyarrow"
-        )
-    )
-
-    # --- step 4: asymmetric in-bucket emission -------------------------
-    thr = jaccard_threshold
-
-    def _emit(group: pd.DataFrame) -> pa.Table:
-        agg = group.groupby("band", sort=False)["side"].agg(["size", "max"])
-        live = agg.index[(agg["size"] >= 2) & (agg["max"] == 1)]
-        srcs: list[np.ndarray] = []
-        dsts: list[np.ndarray] = []
-        caps: list[np.ndarray] = []
-        dropped: list[int] = []
-        cg = int(group["bucket"].iloc[0]) if len(group) else 0
-        sub = group[group["band"].isin(live)]
-        for _, g in sub.groupby("band", sort=False):
-            g = g.sort_values("doc_id", kind="stable")
-            was_capped = len(g) > cap
-            if was_capped:
-                keep_new = g[g["side"] == 1]
-                if len(keep_new) > cap:
-                    # degenerate all-new band: salted-chunk path (the
-                    # ratio prefilter applies in-chunk; chain links pass
-                    # through to the exact verify, which rejects any
-                    # non-dup — same subset-of-brute-force semantics as
-                    # the symmetric op under a tiny cap)
-                    s, d, _ = emit_bucket_pairs_attr(
-                        keep_new["doc_id"].to_numpy(dtype=np.int64),
-                        keep_new["n_grams"].to_numpy(dtype=np.int64),
-                        cap,
-                        ratio=thr,
-                    )
-                    # a doc_id duplicated WITHIN the shard must never
-                    # self-pair on this path either (the vectorized
-                    # path guards below; code-review r5)
-                    sp = s != d
-                    s, d = s[sp], d[sp]
-                    srcs.append(s)
-                    dsts.append(d)
-                    caps.append(np.full(len(s), True))
-                    if len(g) > len(keep_new):
-                        dropped.append(len(g) - len(keep_new))
-                    continue
-                keep_ref = g[g["side"] == 0].head(max(0, cap - len(keep_new)))
-                n_drop = len(g) - len(keep_new) - len(keep_ref)
-                if n_drop:
-                    dropped.append(n_drop)
-                g = pd.concat([keep_new, keep_ref]).sort_values(
-                    "doc_id", kind="stable"
-                )
-            ids = g["doc_id"].to_numpy(dtype=np.int64)
-            szs = g["n_grams"].to_numpy(dtype=np.int64)
-            new = g["side"].to_numpy() == 1
-            ni, ri = np.flatnonzero(new), np.flatnonzero(~new)
-            pair_i: list[np.ndarray] = []
-            pair_j: list[np.ndarray] = []
-            if len(ni) >= 2:
-                a, b = np.triu_indices(len(ni), 1)
-                pair_i.append(ni[a])
-                pair_j.append(ni[b])
-            if len(ni) and len(ri):
-                pair_i.append(np.repeat(ni, len(ri)))
-                pair_j.append(np.tile(ri, len(ni)))
-            if pair_i:
-                i = np.concatenate(pair_i)
-                j = np.concatenate(pair_j)
-                sa, sb = szs[i], szs[j]
-                # size-ratio prefilter: necessary for J >= thr
-                ok = np.minimum(sa, sb) >= thr * np.maximum(sa, sb)
-                # supersession already removed stale ref copies, but a
-                # duplicated id WITHIN the shard must still never
-                # self-pair
-                ok &= ids[i] != ids[j]
-                srcs.append(ids[i[ok]])
-                dsts.append(ids[j[ok]])
-                caps.append(np.full(int(ok.sum()), was_capped))
-        if dropped:
-            sent_s, sent_d = sentinel_rows(dropped, cg, "inc", "int", n_cogroups)
-            srcs.append(sent_s)
-            dsts.append(sent_d)
-            caps.append(np.ones(len(dropped), bool))
-        if not srcs:
-            return pa.table(
-                {
-                    "src_id": pa.array([], pa.int64()),
-                    "dst_id": pa.array([], pa.int64()),
-                    "capped": pa.array([], pa.bool_()),
-                }
-            )
-        return pa.table(
-            {
-                "src_id": pa.array(np.concatenate(srcs), pa.int64()),
-                "dst_id": pa.array(np.concatenate(dsts), pa.int64()),
-                "capped": pa.array(
-                    np.concatenate(caps).astype(bool), pa.bool_()
-                ),
-            }
-        )
-
-    raw = (
-        rows.map_batches(
-            lambda t: bucket_by_keys(t, ["band"], n_cogroups),
-            batch_format="pyarrow",
-        )
-        .groupby("bucket")
-        .map_groups(_emit, batch_format="pandas")
-    ).materialize()  # edge-list-sized candidate stream (collisions only)
+    raw = raw.materialize()  # edge-list-sized candidate stream (collisions only)
     if stats is not None:
         # sentinels are globally unique per dropped band, so the tally
         # over the raw (pre-dedup) stream is exact
         tally_sentinels(raw, stats, "int")
 
-    def _ref_docs_live(batch: pa.Table) -> pa.Table:
-        # superseded ids read their fresh text from the new shard
-        seen = _ray.get(new_id_ref)
-        if len(seen) == 0:
-            return batch
-        return batch.filter(
-            pc.invert(pc.is_in(batch["doc_id"], value_set=seen))
-        )
-
+    # superseded ids read their fresh text from the new shard
     docs_all = new_docs.select_columns(["doc_id", "text"]).union(
-        ref_docs.select_columns(["doc_id", "text"]).map_batches(
-            _ref_docs_live, batch_format="pyarrow"
-        )
+        ref_docs.select_columns(["doc_id", "text"]).map_batches(supersede, batch_format="pyarrow")
     )
-
-    # --- step 5: size-gated local tail ---------------------------------
     if raw.count() <= local_pair_limit:
-        df = raw.select_columns(["src_id", "dst_id", "capped"]).to_pandas()
-        df = df[df["src_id"] >= 0]  # strip sentinels
-        # mirror dedup_pairs: keep the uncapped copy of a duplicate pair
-        df = df.sort_values("capped", kind="stable").drop_duplicates(
-            ["src_id", "dst_id"], keep="first"
-        )
-        needed_l = set(df["src_id"]) | set(df["dst_id"])
-        texts: dict[int, str] = {}
-        if needed_l:
-            need_ref = _ray.put(
-                pa.array(sorted(int(i) for i in needed_l), pa.int64())
-            )
+        out = _local_jaccard_tail(raw, docs_all, n, jaccard_threshold)
+        if out is not None:
+            return out
 
-            def _flt(batch: pa.Table) -> pa.Table:
-                return batch.filter(
-                    pc.is_in(batch["doc_id"], value_set=_ray.get(need_ref))
-                )
-
-            # ONE task-only filtered scan — no actor pools, no attach
-            for b in docs_all.map_batches(
-                _flt, batch_format="pyarrow"
-            ).iter_batches(batch_size=65536, batch_format="pyarrow"):
-                texts.update(
-                    zip(b["doc_id"].to_pylist(), b["text"].to_pylist())
-                )
-            missing = needed_l - texts.keys()
-            if missing:
-                # caller contract: ref_docs must cover every id in
-                # ref_sigs — fail loudly (the distributed tail would
-                # surface this as null-text attach rows instead)
-                raise ValueError(
-                    f"{len(missing)} candidate ids have no text in "
-                    f"new_docs/ref_docs (e.g. {sorted(missing)[:3]})"
-                )
-        # vectorized bitset verify over the NEEDED texts only (the
-        # collision-bounded id set — never the corpus): gram vocab +
-        # per-id masks built once, then one SWAR popcount pass over all
-        # candidate pairs. The per-pair-Python frozenset engine was the
-        # round-3 trap in a new coat — at bench scale the unselective
-        # r=4 bands emit 1e5+ candidates for a handful of true dups.
-        ids_list = sorted(int(i) for i in needed_l)
-        pos = {i: k for k, i in enumerate(ids_list)}
-        gram_ids: dict[str, int] = {}
-        sets: list[list[int]] = []
-        for i in ids_list:
-            t = texts[i]
-            gs = (
-                {t[k : k + n] for k in range(len(t) - n + 1)}
-                if len(t) >= n
-                else set()
-            )
-            row = []
-            for g in gs:
-                gi = gram_ids.get(g)
-                if gi is None:
-                    gi = len(gram_ids)
-                    gram_ids[g] = gi
-                row.append(gi)
-            sets.append(row)
-        words = max(1, (len(gram_ids) + 63) // 64)
-        masks = np.zeros((len(ids_list), words), dtype=np.uint64)
-        szs = np.zeros(len(ids_list), dtype=np.int64)
-        for k, row in enumerate(sets):
-            szs[k] = len(row)
-            if row:
-                idxs = np.asarray(row, dtype=np.int64)
-                np.bitwise_or.at(
-                    masks[k], idxs >> 6,
-                    np.uint64(1) << (idxs & 63).astype(np.uint64),
-                )
-        ai = np.fromiter(
-            (pos[int(s)] for s in df["src_id"]), dtype=np.int64, count=len(df)
-        )
-        bi = np.fromiter(
-            (pos[int(d)] for d in df["dst_id"]), dtype=np.int64, count=len(df)
-        )
-        inter = _popcount64(masks[ai] & masks[bi]).sum(axis=1)
-        union = szs[ai] + szs[bi] - inter
-        jac = np.where(union > 0, inter / np.maximum(union, 1), 0.0)
-        keep = jac >= jaccard_threshold
-        src_np = df["src_id"].to_numpy(dtype=np.int64)
-        dst_np = df["dst_id"].to_numpy(dtype=np.int64)
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "a": pa.array(src_np[keep], pa.int64()),
-                    "b": pa.array(dst_np[keep], pa.int64()),
-                    "jaccard": pa.array(jac[keep], pa.float64()),
-                }
-            )
-        )
-
-    # --- distributed tail (identical output; fed from the same raw) ----
-    cand = dedup_pairs(raw, id_dtype="int").materialize()
-    cand = strip_sentinels(cand, "int")
+    cand = strip_sentinels(dedup_pairs(raw, id_dtype="int").materialize(), "int")
     needed: set[int] = set()
     for b in cand.select_columns(["src_id", "dst_id"]).iter_batches(
         batch_size=65536, batch_format="pyarrow"
@@ -2127,6 +1776,81 @@ def incremental_minhash_dedup_pairs(
         fn_constructor_args=(n, jaccard_threshold),
         batch_format="pyarrow",
         concurrency=(1, 8),
+    )
+
+
+def _local_jaccard_tail(
+    raw: "ray.data.Dataset", docs: "ray.data.Dataset", n: int, threshold: float
+) -> "ray.data.Dataset | None":
+    """The driver-side verify tail of ``incremental_minhash_dedup_pairs``
+    over its materialized candidate stream, or None where the
+    referenced-id or vocabulary gate trips (see there)."""
+    df = raw.select_columns(["src_id", "dst_id", "capped"]).to_pandas()
+    df = df.reindex(columns=["src_id", "dst_id", "capped"])  # no rows, no columns
+    df = df[df["src_id"] >= 0]  # strip sentinels
+    # mirror dedup_pairs: keep the uncapped copy of a duplicate pair
+    df = df.sort_values("capped", kind="stable").drop_duplicates(
+        ["src_id", "dst_id"], keep="first"
+    )
+    src = df["src_id"].to_numpy(dtype=np.int64)
+    dst = df["dst_id"].to_numpy(dtype=np.int64)
+    ids = np.unique(np.concatenate([src, dst]))
+    if len(ids) > LOCAL_VERIFY_IDS:
+        return None
+    texts: dict[int, str] = {}
+    if len(ids):
+        need_ref = ray.put(pa.array(ids, pa.int64()))
+
+        def _flt(batch: pa.Table) -> pa.Table:
+            return batch.filter(pc.is_in(batch["doc_id"], value_set=ray.get(need_ref)))
+
+        # ONE task-only filtered scan — no actor pools, no attach
+        for b in docs.map_batches(_flt, batch_format="pyarrow").iter_batches(
+            batch_size=65536, batch_format="pyarrow"
+        ):
+            texts.update(zip(b["doc_id"].to_pylist(), b["text"].to_pylist()))
+        missing = set(ids.tolist()) - texts.keys()
+        if missing:
+            # caller contract: ref_docs must cover every id in ref_sigs —
+            # fail loudly (the distributed tail would surface this as
+            # null-text attach rows instead)
+            raise ValueError(
+                f"{len(missing)} candidate ids have no text in "
+                f"new_docs/ref_docs (e.g. {sorted(missing)[:3]})"
+            )
+    # vectorized bitset verify: gram vocab + per-id masks built once over
+    # the referenced texts, then one SWAR popcount pass over the pairs
+    gram_ids: dict[str, int] = {}
+    sets: list[list[int]] = []
+    for i in ids.tolist():
+        grams = {texts[i][k : k + n] for k in range(len(texts[i]) - n + 1)}
+        sets.append([gram_ids.setdefault(g, len(gram_ids)) for g in grams])
+        if len(gram_ids) > BITSET_VOCAB_LIMIT:
+            return None
+    words = max(1, (len(gram_ids) + 63) // 64)
+    masks = np.zeros((len(ids), words), dtype=np.uint64)
+    szs = np.array([len(row) for row in sets], dtype=np.int64)
+    for k, row in enumerate(sets):
+        if row:
+            idxs = np.asarray(row, dtype=np.int64)
+            np.bitwise_or.at(masks[k], idxs >> 6, np.uint64(1) << (idxs & 63).astype(np.uint64))
+    ai, bi = np.searchsorted(ids, src), np.searchsorted(ids, dst)
+    inter = np.empty(len(df), dtype=np.int64)
+    step = max(1, (1 << 22) // words)
+    for k in range(0, len(df), step):
+        both = masks[ai[k : k + step]] & masks[bi[k : k + step]]
+        inter[k : k + step] = _popcount64(both).sum(axis=1)
+    union = szs[ai] + szs[bi] - inter
+    jac = np.where(union > 0, inter / np.maximum(union, 1), 0.0)
+    keep = jac >= threshold
+    return ray.data.from_arrow(
+        pa.table(
+            {
+                "a": pa.array(src[keep], pa.int64()),
+                "b": pa.array(dst[keep], pa.int64()),
+                "jaccard": pa.array(jac[keep], pa.float64()),
+            }
+        )
     )
 
 
@@ -3538,9 +3262,14 @@ def shared_span_pairs(
     flagged via the ``capped`` pair column upstream — raise the cap if
     exactness across mega-clusters matters more than skew safety."""
     from ..stages.lsh import cooccurrence_pairs, dedup_pairs
+    from .dedup import check_ray_can_run
 
     if not (1 <= window <= min_span):
         raise ValueError("need 1 <= window <= min_span")
+    # three actor pools (fingerprints, attach, verify) hold a CPU each and
+    # the read/shuffle tasks need one more: measured to hang at
+    # num_cpus=3 and to finish at 4
+    check_ray_can_run((_SpanFingerprints, _SharedSpanVerifier), min_cpus=4)
     kgram = min_span - window + 1
     band_rows = docs.select_columns(["doc_id", "text"]).map_batches(
         _SpanFingerprints,

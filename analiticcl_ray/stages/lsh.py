@@ -17,7 +17,9 @@ key; every row of a band lands in the same co-group, and the co-group
 count scales with the rows entering the shuffle, ``adaptive_cogroups``).
 Inside a co-group, ``emit_pairs_grouped`` drops singleton keys and
 emits every bucket's pairs with numpy ops per bucket SIZE class, so
-Python runs once per co-group, not once per key.
+Python runs once per co-group, not once per key. ``probe_index_pairs``
+is the asymmetric form of the same exchange: a new shard against a
+persisted reference, never ref x ref (the incremental dedup ops).
 
 Skew handling (north rule): a boilerplate caption puts thousands of ids
 into one band bucket -> O(n^2) pair blowup. Buckets larger than
@@ -34,7 +36,7 @@ SURVEY.md §4.2).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import pandas as pd
@@ -72,14 +74,9 @@ def explode_band_rows(
             for c in carry_cols:
                 parts_carry[c].append(batch[c].take(idx).combine_chunks())
 
-        def _cat(parts):
-            return pa.concat_arrays(
-                [p.combine_chunks() if isinstance(p, pa.ChunkedArray) else p for p in parts]
-            )
-
-        cols = {"band": _cat(parts_band), id_col: _cat(parts_id)}
+        cols = {"band": pa.concat_arrays(parts_band), id_col: pa.concat_arrays(parts_id)}
         for c in carry_cols:
-            cols[c] = _cat(parts_carry[c])
+            cols[c] = pa.concat_arrays(parts_carry[c])
         return pa.table(cols)
 
     return ds.map_batches(_explode, batch_format="pyarrow")
@@ -671,6 +668,212 @@ def cooccurrence_pairs_multi(
         pairs = pairs.materialize()
         tally_sentinels(pairs, stats, id_dtype)
     return strip_sentinels(pairs, id_dtype)
+
+
+def _from_slices(t: pa.Table, max_blocks: int, rows_per_block: int) -> "ray.data.Dataset":
+    """A driver-side table re-entered as up to ``max_blocks`` object-store
+    blocks (an empty table becomes one empty block)."""
+    n = max(1, min(max_blocks, len(t) // rows_per_block + 1))
+    step = max(1, -(-len(t) // n))
+    return ray.data.from_arrow(
+        [t.slice(i * step, step) for i in range(n) if i * step < max(1, len(t))]
+    )
+
+
+def probe_index_pairs(
+    new: "ray.data.Dataset",
+    ref: "ray.data.Dataset",
+    id_col: str,
+    attr_col: str,
+    n_bands: int,
+    add_bands: Optional[Callable[[pa.Table], pa.Table]] = None,
+    id_dtype: str = "str",
+    cap: int = 256,
+    ratio: Optional[float] = None,
+    maxham: Optional[int] = None,
+    local_probe_limit: int = 2_000_000,
+) -> tuple["ray.data.Dataset", Callable[[pa.Table], pa.Table]]:
+    """The probe-vs-index join: pairs of a NEW shard against itself and
+    against a persisted REFERENCE table, never ref x ref — the asymmetric
+    counterpart of ``cooccurrence_pairs_multi`` and the analog of probing
+    analiticcl's persisted AnaIndex (src/lib.rs:1143-1308). Both tables
+    hold (id, attr) rows and a ``bands`` fixed-size list column of
+    ``n_bands`` integer band keys, or ``add_bands(table)`` appends it.
+
+    1. ONE streaming driver pull over ``new`` (the only execution of its
+       upstream) gives the new-id broadcast, the probe band-key broadcast
+       and the probe band rows, exploded on the driver and re-entered as
+       ``from_arrow`` blocks. The pull is O(|shard|); past
+       ``local_probe_limit`` exploded rows the explode runs distributed
+       from the pulled table instead (one materialize).
+    2. Ref side, one fused map_batches: supersession (an id re-ingested
+       in ``new`` drops its stale ref row, so it never self-pairs and
+       resolves to its new attr), explode, and the probe-key collision
+       filter — a ref band row no new row shares dies before the
+       shuffle, so the cogroup input is O(key collisions), not O(ref).
+    3. One band-bucket cogroup: per band with >= 2 rows and >= 1 new
+       row, the new x new triangle (ids sorted, src < dst) plus the new x
+       ref cross (src new), kept where the ids differ and the pair test
+       holds. A band over ``cap`` keeps all new rows and fills with the
+       id-ordered ref prefix; a band with more than ``cap`` NEW rows
+       takes the salted path of ``emit_bucket_pairs_attr``. Every pair
+       of an over-cap band is flagged ``capped``, and its dropped ref
+       rows are reported by ``sentinel_rows`` (salt ``inc``).
+
+    The pair test is one of ``ratio`` — attr is a set size, kept where
+    ``min(attr) >= ratio * max(attr)`` (necessary for Jaccard >= ratio;
+    salted chain links skip it, for the caller's exact verify) — or
+    ``maxham`` — attr is the id's one 64-bit hash, so the in-bucket
+    hamming is exact (``cooccurrence_pairs_multi``'s ``exact_hamming``):
+    pairs and salted chain links are held to ``<= maxham``, and the
+    distance is emitted as a ``hamming`` column (-1 on sentinels).
+
+    Returns (pairs, supersede): the sentinel-carrying, not yet deduped
+    (src_id, dst_id[, hamming], capped) stream, and the supersession
+    batch map (drops the rows of ids ``new`` holds) for the caller's own
+    reference-side tables."""
+    id_type = pa.string() if id_dtype == "str" else pa.int64()
+    np_id = object if id_dtype == "str" else np.int64
+
+    parts: dict = {}
+    for b in new.iter_batches(batch_size=65536, batch_format="pyarrow"):
+        for c in b.column_names:
+            parts.setdefault(c, []).append(b[c].combine_chunks())
+    local = pa.table(
+        {c: pa.concat_arrays(p) for c, p in parts.items()}
+        if parts
+        else {id_col: pa.array([], id_type)}
+    )
+    new_ids = ray.put(local[id_col].combine_chunks())
+
+    def supersede(batch: pa.Table) -> pa.Table:
+        seen = ray.get(new_ids)
+        if len(seen) == 0:
+            return batch
+        return batch.filter(pc.invert(pc.is_in(batch[id_col], value_set=seen)))
+
+    def _explode(t: pa.Table, side: int) -> pa.Table:
+        arr = (add_bands(t) if add_bands else t)["bands"].combine_chunks()
+        idx = pa.array(np.repeat(np.arange(len(t), dtype=np.int64), arr.type.list_size))
+        return pa.table(
+            {
+                "band": arr.flatten(),
+                id_col: t[id_col].take(idx),
+                attr_col: t[attr_col].take(idx),
+                "side": pa.array(np.full(len(idx), side, np.int8), pa.int8()),
+            }
+        )
+
+    if len(local) * n_bands <= local_probe_limit:
+        probe_rows = (
+            _explode(local, 1)
+            if len(local)
+            else pa.schema(
+                [("band", pa.int64()), (id_col, id_type), (attr_col, pa.int64()), ("side", pa.int8())]
+            ).empty_table()
+        )
+        probe_keys = pc.unique(probe_rows["band"].combine_chunks())
+        new_rows = _from_slices(probe_rows, 64, 16384)
+    else:
+        new_rows = (
+            _from_slices(local, 256, 65536)
+            .map_batches(lambda t: _explode(t, 1), batch_format="pyarrow")
+            .materialize()  # two consumers: probe-key pull + band union
+        )
+        probe_keys = pc.unique(
+            pa.chunked_array(
+                [
+                    b["band"].combine_chunks()
+                    for b in new_rows.select_columns(["band"]).iter_batches(
+                        batch_size=65536, batch_format="pyarrow"
+                    )
+                ],
+                pa.int64(),
+            )
+        )
+    probe_keys_ref = ray.put(probe_keys)
+
+    def _ref_fused(batch: pa.Table) -> pa.Table:
+        keys = ray.get(probe_keys_ref)
+        if len(keys) == 0:  # empty probe shard: skip the explode
+            return _explode(batch.slice(0, 0), 0)
+        rows = _explode(supersede(batch), 0)
+        return rows.filter(pc.is_in(rows["band"], value_set=keys))
+
+    rows = new_rows.union(ref.map_batches(_ref_fused, batch_format="pyarrow"))
+
+    def _emit(group: pd.DataFrame) -> pa.Table:
+        agg = group.groupby("band", sort=False)["side"].agg(["size", "max"])
+        live = agg.index[(agg["size"] >= 2) & (agg["max"] == 1)]
+        srcs: list = [np.zeros(0, np_id)]
+        dsts: list = srcs[:]
+        hams: list = [np.zeros(0, np.int64)]
+        caps: list = [np.zeros(0, bool)]
+        dropped: list = []
+
+        def _add(s, d, a, b, capped: bool, salted: bool) -> None:
+            ok = s != d
+            if ratio is not None and not salted:
+                ok &= np.minimum(a, b) >= ratio * np.maximum(a, b)
+            if maxham is not None:
+                ham = _popcount_u64(
+                    a.astype(np.int64).view(np.uint64) ^ b.astype(np.int64).view(np.uint64)
+                ).astype(np.int64)
+                ok &= ham <= maxham
+                hams.append(ham[ok])
+            srcs.append(s[ok])
+            dsts.append(d[ok])
+            caps.append(np.full(int(ok.sum()), capped))
+
+        for _, g in group[group["band"].isin(live)].groupby("band", sort=False):
+            g = g.sort_values(id_col, kind="stable")
+            was_capped = len(g) > cap
+            if was_capped:
+                keep_new = g[g["side"] == 1]
+                if len(keep_new) > cap:
+                    # all-new over-cap band: salted chunks, every ref row dropped
+                    s, d, a_s, a_d, _ = emit_bucket_pairs_attr(
+                        keep_new[id_col].to_numpy(dtype=np_id),
+                        keep_new[attr_col].to_numpy(dtype=np.int64),
+                        cap, ratio, maxham, return_attrs=True,
+                    )
+                    _add(s, d, a_s, a_d, True, salted=True)
+                    if len(g) > len(keep_new):
+                        dropped.append(len(g) - len(keep_new))
+                    continue
+                keep_ref = g[g["side"] == 0].head(max(0, cap - len(keep_new)))
+                if len(g) - len(keep_new) - len(keep_ref):
+                    dropped.append(len(g) - len(keep_new) - len(keep_ref))
+                g = pd.concat([keep_new, keep_ref]).sort_values(id_col, kind="stable")
+            ids = g[id_col].to_numpy(dtype=np_id)
+            attrs = g[attr_col].to_numpy(dtype=np.int64)
+            is_new = g["side"].to_numpy() == 1
+            ni, ri = np.flatnonzero(is_new), np.flatnonzero(~is_new)
+            tri_i, tri_j = np.triu_indices(len(ni), 1)
+            i = np.concatenate([ni[tri_i], np.repeat(ni, len(ri))])
+            j = np.concatenate([ni[tri_j], np.tile(ri, len(ni))])
+            _add(ids[i], ids[j], attrs[i], attrs[j], was_capped, salted=False)
+        cg = int(group["bucket"].iloc[0]) if len(group) else 0
+        sent_s, sent_d = sentinel_rows(dropped, cg, "inc", id_dtype)
+        cols = {
+            "src_id": pa.array(np.concatenate(srcs + [sent_s]), id_type),
+            "dst_id": pa.array(np.concatenate(dsts + [sent_d]), id_type),
+        }
+        if maxham is not None:
+            cols["hamming"] = pa.array(
+                np.concatenate(hams + [np.full(len(dropped), -1, np.int64)]), pa.int64()
+            )
+        cols["capped"] = pa.array(
+            np.concatenate(caps + [np.ones(len(dropped), bool)]), pa.bool_()
+        )
+        return pa.table(cols)
+
+    pairs = (
+        rows.map_batches(lambda t: bucket_by_keys(t, ["band"], 1024), batch_format="pyarrow")
+        .groupby("bucket")
+        .map_groups(_emit, batch_format="pandas")
+    )
+    return pairs, supersede
 
 
 def _sentinel_mask(batch: pa.Table, id_dtype: str) -> pa.ChunkedArray:

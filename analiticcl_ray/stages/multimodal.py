@@ -437,363 +437,39 @@ def incremental_banded_dup_pairs(
     """Asymmetric (probe-vs-index) banded near-dup join — the daily-
     ingest shape: match a NEW shard's hashes against itself and against
     an existing REFERENCE hash table without ever re-pairing the
-    reference against itself. Both sides band-explode with an int8
-    ``side`` flag and meet in ONE hash-bucket cogroup; per surviving
-    band key (>=2 rows AND >=1 new row — ref-only keys are skipped
-    vectorized, which is the asymmetry win: at steady state ref >> new
-    and almost every bucket is ref-only) the emission is the new x new
-    triangle plus the new x ref cross, with the EXACT 64-bit hamming
-    computed and filtered in-bucket (the full hashes ride the band
-    rows, so no downstream attach or re-verify exists). Output:
-    distinct (src_id, dst_id, hamming) where src is always NEW and dst
-    is new (src < dst) or ref — never ref x ref.
+    reference against itself. Both slim (id, 64-bit hash) tables are
+    banded by ``hash_band_table`` (complete for ``max_hamming < bands``)
+    and meet in ``stages/lsh.probe_index_pairs``, whose in-bucket test is
+    the EXACT hamming (``maxham``: the full hashes ride the band rows, so
+    no attach or re-verify follows). Output: distinct
+    (src_id, dst_id, hamming) where src is always NEW and dst is new
+    (src < dst) or ref — never ref x ref. Only (id, hash) of the
+    reference is read: its bytes are never decoded.
 
-    Cap semantics: a band-key group larger than ``cap`` keeps all new
-    rows and the id-ordered prefix of ref rows up to ``cap`` total
-    (new x new evidence is never sacrificed for ref fill); dropped ref
-    rows are reported through the globally-unique sentinel mechanism
-    (stages/lsh.py) into ``stats['dropped_rows']`` — no silent caps.
-    Ref rows carry only (id, hash): the reference corpus bytes are
-    never read, so an incremental run costs decode(new) + one band
-    shuffle over new+ref slim rows.
-
-    Re-ingest overlap: an id present in BOTH tables (a retried or
-    overlapping shard) is SUPERSEDED — its stale ref copy is
-    anti-joined out before banding, so it never self-pairs, never emits
-    reversed-orientation duplicates from stale band buckets, and every
-    pair involving it is generated and verified against its NEW (probe)
-    hash. Lossless in the pigeonhole-complete regime (max_hamming <
-    bands): any pair that verifies under the resolved hashes shares a
-    band via the new-side rows.
-
-    Stage shape (round 4 — fused so the incremental op beats full
-    recompute at bench scale, not just asymptotically): ONE driver pull
-    over the (caller-materialized) probe shard yields both the new-id
-    broadcast AND the probe band-key broadcast (band keys recomputed
-    locally on the pulled hashes — a vectorized pass over the shard, so
-    the banded probe rows never need their own materialize), and the
-    whole ref side — supersession anti-join, banding, explode,
-    probe-key collision filter — is ONE fused map_batches with exactly
-    one consumer (the band shuffle; the verify union that used to
-    consume the ref side a second time is gone — ADVICE r3's
-    double-consumption finding is resolved by eliminating the second
-    consumer, not by materializing).
-
-    Memory contract: the (id, hash) driver pull is O(|shard|) in ALL
-    regimes — that slim pull is the op's premise (same class as the
-    unavoidable new-id broadcast). ``local_probe_limit`` bounds only
-    the ×``bands`` LOCAL explode of those rows; past it the explode
-    runs distributed, fed from the already-pulled shard so the probe
-    upstream (decode pool) still executes exactly once."""
-    import pandas as pd
-    import pyarrow.compute as pc
-
-    from .lsh import (
-        bucket_by_keys,
-        dedup_pairs,
-        emit_bucket_pairs_attr,
-        sentinel_rows,
-        strip_sentinels,
-        tally_sentinels,
-    )
+    Cap: a band larger than ``cap`` keeps all new rows and the
+    id-ordered ref prefix; dropped ref rows reach
+    ``stats['dropped_rows']`` through the sentinel tally. Re-ingest: an
+    id in BOTH tables resolves to its NEW hash (its stale ref row is
+    dropped before banding — lossless in the pigeonhole-complete
+    regime), so it never self-pairs. ``local_probe_limit`` bounds the
+    driver-side ×``bands`` explode of the probe shard; the (id, hash)
+    pull itself is O(|shard|) in all regimes."""
+    from .lsh import dedup_pairs, probe_index_pairs, strip_sentinels, tally_sentinels
     from .signatures import hash_band_table
-    from ..image.codec import hamming64
 
-    # slim both sides up front: the band shuffle needs only (id, hash)
-    # — callers may hand over wider persisted tables (e.g. the full
-    # image_hashes output with all three hash columns)
-    new_hashes = new_hashes.select_columns([id_col, hash_col])
-    ref_hashes = ref_hashes.select_columns([id_col, hash_col])
-
-    # ONE streaming driver pull over the probe shard — the only time
-    # the new side's upstream (typically the decode actor pool)
-    # executes. It yields, in the same pass: the new-id broadcast (ref
-    # supersession + the self-pair guard), the probe band-key broadcast
-    # (the ref-side pre-shuffle semi-join), and the banded probe rows
-    # themselves, exploded LOCALLY (a vectorized numpy pass over the
-    # shard) and re-entered as pre-sliced object-store blocks via
-    # ray.data.from_arrow — so the probe side costs NO materialize
-    # barrier and NO second execution. All of this is bounded by the
-    # ingest shard (bands x |new| slim rows; same class as dedup.py's
-    # needed_ids) — the op's documented premise. A shard too large to
-    # hold driver-side would swap this pull for the distributed Bloom
-    # semi-join of text.incremental_dedup and the round-3 distributed
-    # explode+materialize shape.
-    id_parts: list = []
-    hash_parts: list = []
-    for b in new_hashes.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        id_parts.append(b[id_col].combine_chunks())
-        hash_parts.append(b[hash_col].combine_chunks())
-
-    def _cat(parts, typ):
-        return (
-            pa.concat_arrays(
-                [a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a
-                 for a in parts]
-            )
-            if parts
-            else pa.array([], typ)
-        )
-
-    new_id_arr = _cat(id_parts, pa.string())
-    local = pa.table({id_col: new_id_arr, hash_col: _cat(hash_parts, pa.int64())})
-    new_id_ref = ray.put(new_id_arr)
-
-    def _anti(batch: pa.Table) -> pa.Table:
-        # supersession: an id present in BOTH tables keeps only its NEW
-        # (probe) hash — the stale ref copy is anti-joined out BEFORE
-        # banding. In the pigeonhole-complete regime (max_hamming <
-        # bands) this is lossless: every pair that verifies under the
-        # resolved hashes shares a band via the new-side rows, and the
-        # stale rows could only produce duplicate-orientation candidates
-        # or verify-rejected ones while eating per-band cap budget.
-        seen = ray.get(new_id_ref)
-        if len(seen) == 0:
-            return batch
-        return batch.filter(
-            pc.invert(pc.is_in(batch[id_col], value_set=seen))
-        )
-
-    def _band_explode(t: pa.Table, side: int) -> pa.Table:
-        banded = hash_band_table(t, hash_col, bands)[
-            f"{hash_col}_bands"
-        ].combine_chunks()
-        width = banded.type.list_size
-        idx = pa.array(np.repeat(np.arange(len(t), dtype=np.int64), width))
-        n_rows = len(t) * width
-        return pa.table(
-            {
-                "band": banded.flatten(),
-                id_col: t[id_col].take(idx),
-                hash_col: t[hash_col].take(idx),
-                "side": pa.array(
-                    np.full(n_rows, side, np.int8), pa.int8()
-                ),
-            }
-        )
-
-    # ``local_probe_limit`` is the ENFORCED boundary of the local-explode
-    # premise (not just documented): the (id, hash) pull above is ~the
-    # same size as the unavoidable new-id broadcast, but the band
-    # explode multiplies it by ``bands`` — beyond the limit the explode
-    # runs distributed instead (the round-3 shape: Ray map + one
-    # materialize, probe keys pulled from the banded rows). Output is
-    # identical either way (pytest-locked); only the barrier count
-    # differs.
-    # gate on the EXPLODED row count (len × bands) — the quantity the
-    # docstring's memory contract bounds, and the same semantics as the
-    # text-side op (code-review r5: the pre-explode gate under-enforced
-    # by a factor of `bands`)
-    use_local = len(local) * bands <= local_probe_limit
-    if use_local:
-        new_rows_local = (
-            _band_explode(local, 1)
-            if len(local)
-            else pa.table(
-                {
-                    "band": pa.array([], pa.int64()),
-                    id_col: pa.array([], pa.string()),
-                    hash_col: pa.array([], pa.int64()),
-                    "side": pa.array([], pa.int8()),
-                }
-            )
-        )
-        probe_keys = (
-            pc.unique(new_rows_local["band"].combine_chunks())
-            if len(new_rows_local)
-            else pa.array([], pa.int64())
-        )
-    else:
-        # over-limit fallback: the explode (the ×bands blowup) runs
-        # distributed, but it is fed from the ALREADY-PULLED (id, hash)
-        # shard re-entered as object-store blocks — NOT from
-        # ``new_hashes`` — so the probe upstream (typically the decode
-        # actor pool) still executes exactly once (ADVICE r4: mapping
-        # new_hashes here re-ran it a second time). Note the driver
-        # pull itself remains O(|shard|) regardless of
-        # ``local_probe_limit`` — the limit bounds only the ×bands
-        # local explode, which is what multiplies driver memory.
-        n_sl = max(1, min(256, len(local) // 65536 + 1))
-        sl_step = -(-len(local) // n_sl)
-        base = ray.data.from_arrow(
-            [
-                local.slice(i * sl_step, sl_step)
-                for i in range(n_sl)
-                if i * sl_step < len(local)
-            ]
-        )
-        new_rows_dist = base.map_batches(
-            lambda t: _band_explode(t, 1), batch_format="pyarrow"
-        ).materialize()  # two consumers: probe-key pull + band union
-        key_parts: list = []
-        for b in new_rows_dist.select_columns(["band"]).iter_batches(
-            batch_size=65536, batch_format="pyarrow"
-        ):
-            key_parts.append(b["band"].combine_chunks())
-        probe_keys = pc.unique(_cat(key_parts, pa.int64()))
-    probe_keys_ref = ray.put(probe_keys)
-
-    def _ref_fused(batch: pa.Table) -> pa.Table:
-        # one task stage for the whole ref side: supersede -> band ->
-        # explode -> probe-key collision filter. The collision filter
-        # is the asymmetry win: a ref band row whose key no new row
-        # shares can never produce a pair (pairs need >=1 new row per
-        # band key), so the cogroup input is O(key collisions), not
-        # O(ref) — at steady state ref >> new and almost every ref row
-        # dies here, before the shuffle.
-        keys = ray.get(probe_keys_ref)
-        if len(keys) == 0:
-            # empty probe shard: skip the ×bands explode entirely
-            # (code-review r5 — a no-op ingest should cost O(1))
-            return _band_explode(batch.slice(0, 0), 0)
-        rows = _band_explode(_anti(batch), 0)
-        return rows.filter(pc.is_in(rows["band"], value_set=keys))
-
-    # probe side: the locally-exploded band rows re-enter Ray as
-    # pre-sliced blocks (no barrier, no re-execution of the decode
-    # upstream); slice count targets the shuffle's map parallelism.
-    # Over-limit shards use the already-materialized distributed rows.
-    if use_local:
-        n_slices = max(1, min(64, len(new_rows_local) // 16384 + 1))
-        step = -(-len(new_rows_local) // n_slices) if len(new_rows_local) else 1
-        new_rows = ray.data.from_arrow(
-            [
-                new_rows_local.slice(i * step, step)
-                for i in range(n_slices)
-                if i * step < max(1, len(new_rows_local))
-            ]
-        )
-    else:
-        new_rows = new_rows_dist
-    ref_rows = ref_hashes.map_batches(_ref_fused, batch_format="pyarrow")
-    rows = new_rows.union(ref_rows)
-
-    def _emit(group: pd.DataFrame) -> pa.Table:
-        # vectorized key prefilter: only bands with >=2 rows and >=1 new
-        agg = group.groupby("band", sort=False)["side"].agg(["size", "max"])
-        live = agg.index[(agg["size"] >= 2) & (agg["max"] == 1)]
-        srcs: list[np.ndarray] = []
-        dsts: list[np.ndarray] = []
-        hams: list[np.ndarray] = []
-        caps: list[np.ndarray] = []
-        dropped: list[int] = []  # per-capped-band dropped ref rows
-        cg = int(group["bucket"].iloc[0]) if len(group) else 0
-        sub = group[group["band"].isin(live)]
-        for _, g in sub.groupby("band", sort=False):
-            g = g.sort_values(id_col, kind="stable")
-            was_capped = len(g) > cap
-            if was_capped:
-                keep_new = g[g["side"] == 1]
-                if len(keep_new) > cap:
-                    # degenerate all-new band (e.g. a boilerplate slice
-                    # saturating one band key in the shard itself): the
-                    # unbounded triangle would be O(n^2) in ONE group
-                    # task — take the symmetric op's salted-chunk path
-                    # (cap^2 pairs per chunk + chain links, subset of
-                    # brute force like banded_hash_dup_pairs under a
-                    # tiny cap); every ref row is dropped and counted
-                    s, d, a_s, a_d, _ = emit_bucket_pairs_attr(
-                        keep_new[id_col].to_numpy(dtype=object),
-                        keep_new[hash_col].to_numpy(dtype=np.int64),
-                        cap,
-                        maxham=max_hamming,
-                        return_attrs=True,
-                    )
-                    # chain links bypass the in-chunk prefilter — apply
-                    # the same exact filter the verify stage used to;
-                    # an id duplicated within the shard must never
-                    # self-pair here either (code-review r5)
-                    chham = hamming64(a_s, a_d).astype(np.int64)
-                    lok = (chham <= max_hamming) & (s != d)
-                    srcs.append(s[lok])
-                    dsts.append(d[lok])
-                    hams.append(chham[lok])
-                    caps.append(np.full(int(lok.sum()), True))
-                    if len(g) > len(keep_new):  # ref rows displaced
-                        dropped.append(len(g) - len(keep_new))
-                    continue
-                # keep all new, fill with the id-ordered ref prefix
-                keep_ref = g[g["side"] == 0].head(max(0, cap - len(keep_new)))
-                n_drop = len(g) - len(keep_new) - len(keep_ref)
-                if n_drop:  # all-new over-cap groups drop nothing
-                    dropped.append(n_drop)
-                g = pd.concat([keep_new, keep_ref]).sort_values(
-                    id_col, kind="stable"
-                )
-            ids = g[id_col].to_numpy(dtype=object)
-            hs = g[hash_col].to_numpy(dtype=np.int64)
-            new = g["side"].to_numpy() == 1
-            ni, ri = np.flatnonzero(new), np.flatnonzero(~new)
-            pair_i: list[np.ndarray] = []
-            pair_j: list[np.ndarray] = []
-            # new x new triangle (ids sorted -> src < dst)
-            if len(ni) >= 2:
-                a, b = np.triu_indices(len(ni), 1)
-                pair_i.append(ni[a])
-                pair_j.append(ni[b])
-            # new x ref cross (src = new, dst = ref)
-            if len(ni) and len(ri):
-                pair_i.append(np.repeat(ni, len(ri)))
-                pair_j.append(np.tile(ri, len(ni)))
-            if pair_i:
-                i = np.concatenate(pair_i)
-                j = np.concatenate(pair_j)
-                ham = hamming64(hs[i], hs[j]).astype(np.int64)
-                ok = ham <= max_hamming
-                # a re-ingested id sits on BOTH sides of the cross —
-                # never emit the hamming-0 self-edge
-                ok &= ids[i] != ids[j]
-                srcs.append(ids[i[ok]])
-                dsts.append(ids[j[ok]])
-                hams.append(ham[ok])
-                caps.append(np.full(int(ok.sum()), was_capped))
-        if dropped:
-            # globally-unique sentinel per capped band (lsh.py scheme);
-            # worker-side dict mutation would never reach the driver
-            sent_s, sent_d = sentinel_rows(dropped, cg, "inc")
-            srcs.append(sent_s)
-            dsts.append(sent_d)
-            hams.append(np.full(len(dropped), -1, np.int64))
-            caps.append(np.ones(len(dropped), bool))
-        # typed Arrow out (never an object-dtype pandas frame): empty
-        # groups otherwise emit blocks Ray's size estimator can't
-        # sample ("cannot call `vectorize` on size 0 inputs") and whose
-        # from_pandas schema would degrade string columns to null type
-        if not srcs:
-            return pa.table(
-                {
-                    "src_id": pa.array([], pa.string()),
-                    "dst_id": pa.array([], pa.string()),
-                    "hamming": pa.array([], pa.int64()),
-                    "capped": pa.array([], pa.bool_()),
-                }
-            )
-        return pa.table(
-            {
-                "src_id": pa.array(np.concatenate(srcs), pa.string()),
-                "dst_id": pa.array(np.concatenate(dsts), pa.string()),
-                "hamming": pa.array(np.concatenate(hams), pa.int64()),
-                "capped": pa.array(
-                    np.concatenate(caps).astype(bool), pa.bool_()
-                ),
-            }
-        )
-
-    raw = (
-        rows.map_batches(
-            lambda t: bucket_by_keys(t, ["band"], 1024),
-            batch_format="pyarrow",
-        )
-        .groupby("bucket")
-        .map_groups(_emit, batch_format="pandas")
+    raw, _ = probe_index_pairs(
+        new_hashes.select_columns([id_col, hash_col]),
+        ref_hashes.select_columns([id_col, hash_col]),
+        id_col,
+        hash_col,
+        bands,
+        add_bands=lambda t: hash_band_table(t, hash_col, bands, out_col="bands"),
+        cap=cap,
+        maxham=max_hamming,
+        local_probe_limit=local_probe_limit,
     )
-    # hamming rode out of the bucket (exact — the full hashes were in
-    # the group), chain links were filtered there, and a cross-band
-    # duplicate pair carries the same hamming, so dedup_pairs' carried
-    # columns finish the job: no slim attach, no re-verify, no verify
-    # union over the ref side (round 4 — this removed the last two
-    # barriers that made the incremental op slower than full recompute
-    # at bench scale).
+    # a pair emitted in several bands carries the same hamming (one hash
+    # per id), so dedup_pairs may keep any copy
     cand = dedup_pairs(raw)
     if stats is not None:
         cand = cand.materialize()
@@ -818,19 +494,11 @@ def incremental_image_dup_pairs(
     ``image_hashes`` output of prior runs) via
     incremental_banded_dup_pairs — the reference images are never
     re-decoded and never paired against each other."""
-    # no materialize: the generic op executes this decode pipeline
-    # exactly once (its streaming driver pull re-enters the banded rows
-    # as local blocks)
-    new_h = image_hashes(new_corpus).select_columns(["image_id", hash_col])
+    # no materialize: the join's one driver pull is the only execution
+    # of this decode pipeline
     return incremental_banded_dup_pairs(
-        new_h,
-        ref_hashes.select_columns(["image_id", hash_col]),
-        "image_id",
-        hash_col,
-        max_hamming,
-        bands,
-        cap,
-        stats,
+        image_hashes(new_corpus), ref_hashes, "image_id", hash_col,
+        max_hamming, bands, cap, stats,
     )
 
 
@@ -1257,16 +925,9 @@ def incremental_audio_dup_pairs(
     fingerprint table (e.g. a prior run's ``audio_features`` output) —
     reference clips are never re-decoded and never paired against each
     other."""
-    # no materialize: the generic op executes this decode pipeline
-    # exactly once (streaming driver pull)
-    new_fps = audio_features(new_corpus).select_columns(["audio_id", "fp64"])
+    # no materialize: the join's one driver pull is the only execution
+    # of this decode pipeline
     return incremental_banded_dup_pairs(
-        new_fps,
-        ref_fps.select_columns(["audio_id", "fp64"]),
-        "audio_id",
-        "fp64",
-        max_hamming,
-        bands,
-        cap,
-        stats,
+        audio_features(new_corpus), ref_fps, "audio_id", "fp64",
+        max_hamming, bands, cap, stats,
     )

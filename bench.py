@@ -489,8 +489,9 @@ def run_scaling() -> None:
         ).stdout
         return json.loads(out.strip().splitlines()[-1])
 
-    lo = int(os.environ.get("GRAFT_SCALING_LO", "8"))
-    hi = int(os.environ.get("GRAFT_SCALING_HI", "32"))
+    # default arms stay inside the host: 2 CPUs vs the affinity mask
+    lo = int(os.environ.get("GRAFT_SCALING_LO", "2"))
+    hi = int(os.environ.get("GRAFT_SCALING_HI", str(AFFINITY_CPUS)))
     # alternate lo/hi arms per round and take the min per arm: host
     # capacity drifts on ~10-minute scales, so back-to-back arms in a
     # single round can see different machines; min-per-arm across

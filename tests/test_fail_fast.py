@@ -7,6 +7,9 @@ its head check, ``pipelines/dedup.check_ray_can_run``):
   outside the repository, repository off ``PYTHONPATH``), where Ray would
   restart the stage's actor pool without end.
 
+``text.shared_span_pairs`` runs the same check with its own stage
+classes and a floor of 4 CPUs (three actor pools at once; it hangs on 3).
+
 Each case runs in a subprocess with its own Ray session and must raise
 within ``DEADLINE_S``."""
 
@@ -49,9 +52,35 @@ _SCRIPT = textwrap.dedent(
 )
 
 
-def _run(tmp_path, cpus: int, env: dict) -> list[str]:
+_SPAN_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    sys.path.insert(0, {root!r})
+    import ray
+    import ray.data
+
+    from analiticcl_ray.pipelines.text import shared_span_pairs
+
+    ray.init(address="local", num_cpus={cpus}, include_dashboard=False,
+             logging_level="ERROR", object_store_memory=256 << 20)
+    text = "a span of text long enough to be shared by every document "
+    docs = ray.data.from_items([{{"doc_id": i, "text": text * 2}} for i in range(8)])
+    try:
+        shared_span_pairs(docs).take_all()
+        print("shared_span_pairs FINISHED")
+    except RuntimeError as e:
+        print("shared_span_pairs RAISED", str(e).replace(chr(10), " "))
+    ray.shutdown()
+    """
+)
+
+
+def _run(
+    tmp_path, cpus: int, env: dict, script_text: str = _SCRIPT,
+    names: tuple = ("dedup_pipeline", "run_dedup_job"),
+) -> list[str]:
     script = tmp_path / "job.py"
-    script.write_text(_SCRIPT.format(root=ROOT, cpus=cpus))
+    script.write_text(script_text.format(root=ROOT, cpus=cpus))
     proc = subprocess.Popen(
         [sys.executable, str(script)], cwd=str(tmp_path), env=env,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
@@ -63,8 +92,8 @@ def _run(tmp_path, cpus: int, env: dict) -> list[str]:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
         raise AssertionError(f"no raise within {DEADLINE_S} s")
-    lines = [ln for ln in out.splitlines() if ln.startswith(("dedup_pipeline", "run_dedup_job"))]
-    assert len(lines) == 2, err[-3000:]
+    lines = [ln for ln in out.splitlines() if ln.startswith(names)]
+    assert len(lines) == len(names), err[-3000:]
     return lines
 
 
@@ -83,3 +112,8 @@ def test_workers_without_the_package_raise(tmp_path):
     lines = _run(tmp_path, 2, env)
     for line in lines:
         assert "RAISED" in line and "cannot import" in line, line
+
+
+def test_shared_span_pairs_two_cpus_raise(tmp_path):
+    lines = _run(tmp_path, 2, dict(os.environ), _SPAN_SCRIPT, ("shared_span_pairs",))
+    assert "RAISED" in lines[0] and "at least 4 Ray CPUs" in lines[0], lines[0]

@@ -174,3 +174,24 @@ def test_resume_with_changed_n_shards_no_duplication(job_dirs):
     n_corpus = ray.data.read_parquet(src).count()
     assert sig_rows == n_corpus  # no duplicated rows from stale shards
     assert _clusters(out) == before
+
+
+def test_entry_points_do_not_import_text_or_multimodal():
+    """The flagship and the runner import neither the text operators nor
+    the multimodal stages (their import time is the entry points'
+    start-up cost, and the probe-vs-index join both ops share lives in
+    stages/lsh.py, which the flagship imports)."""
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = (
+        "import sys; sys.path.insert(0, %r)\n"
+        "import analiticcl_ray.pipelines.dedup, analiticcl_ray.pipelines.runner\n"
+        "print(sorted(m for m in ('analiticcl_ray.pipelines.text',"
+        " 'analiticcl_ray.stages.multimodal') if m in sys.modules))" % root
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True
+    )
+    assert out.stdout.strip() == "[]", out.stdout + out.stderr[-2000:]

@@ -626,3 +626,112 @@ def test_pair_summary_counts_pairs_capped_and_sentinels(ray_session):
         assert got == {
             "dropped_buckets": 2, "dropped_rows": 39, "pairs": 20, "capped_pairs": 5,
         }
+
+
+def _probe_index_bruteforce(new: dict, ref: dict, cap: int, keep) -> tuple[dict, list]:
+    """The probe-vs-index pair population by definition: resolve ids (a
+    new row supersedes a ref row of the same id), then per band key with
+    >= 1 new row every new x new (src < dst) and new x ref pair passing
+    ``keep``; a band over ``cap`` rows keeps its new rows and the
+    id-ordered ref prefix, and reports the ref rows it drops."""
+    from collections import defaultdict
+
+    ref = {i: v for i, v in ref.items() if i not in new}
+    by_band: dict = defaultdict(lambda: ([], []))
+    for side, rows in ((0, new), (1, ref)):
+        for i, (bands, _) in rows.items():
+            for b in bands:
+                by_band[b][side].append(i)
+    attr = {i: a for rows in (new, ref) for i, (_, a) in rows.items()}
+    pairs, dropped = {}, []
+    for ns, rs in by_band.values():
+        ns, rs = sorted(ns), sorted(rs)
+        if len(ns) + len(rs) > cap:
+            assert len(ns) <= cap  # the all-new salted path is not modelled
+            dropped.append(len(rs) - (cap - len(ns)))
+            rs = rs[: cap - len(ns)]
+        cands = [(x, y) for x in ns for y in ns if x < y] + [(x, y) for x in ns for y in rs]
+        for x, y in cands:
+            if keep(attr[x], attr[y]):
+                pairs[(x, y)] = (attr[x], attr[y])
+    return pairs, [d for d in dropped if d]
+
+
+def test_probe_index_pairs_matches_bruteforce(ray_session):
+    """Seeded property of the one probe-vs-index join
+    (lsh.probe_index_pairs), for both in-bucket pair tests — the gram-size
+    ratio on int ids and the exact 64-bit hamming on str ids — at the
+    default local_probe_limit and at 0 (distributed explode): its deduped,
+    sentinel-stripped pairs equal the brute-force population, a
+    re-ingested id never self-pairs and pairs on its new attr, and the
+    over-cap band's dropped ref rows come back through the sentinel
+    tally."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+
+    from analiticcl_ray.stages.lsh import (
+        _popcount_u64,
+        probe_index_pairs,
+        strip_sentinels,
+        tally_sentinels,
+    )
+
+    def ham(a, b):
+        return int(_popcount_u64(np.array([a ^ b], np.int64).view(np.uint64))[0])
+
+    cap, hot, n_bands = 6, 10_000, 3
+    for seed, id_dtype in ((1, "int"), (2, "str"), (3, "int"), (4, "str")):
+        rng = np.random.default_rng(seed)
+        key = (lambda i: i) if id_dtype == "int" else (lambda i: f"d{i:03d}")
+        bases = rng.integers(-(1 << 62), 1 << 62, size=3)
+
+        def row(hot_band: bool):
+            bands = rng.choice(120, size=n_bands, replace=False).tolist()
+            if hot_band:
+                bands[0] = hot
+            if id_dtype == "int":
+                return bands, int(rng.integers(10, 20))
+            flips = rng.choice(64, size=int(rng.integers(0, 4)), replace=False)
+            mask = int(np.sum(np.uint64(1) << flips.astype(np.uint64)).astype(np.int64))
+            return bands, int(bases[rng.integers(0, 3)]) ^ mask
+
+        # ids 0..29 new, 30..69 ref, id 5 re-ingested; the hot band
+        # holds 2 new + 8 ref rows against cap 6
+        new = {key(i): row(i < 2) for i in range(30)}
+        ref = {key(i): row(30 <= i < 38) for i in range(30, 70)}
+        ref[key(5)] = (new[key(5)][0], row(False)[1])  # same bands, stale attr
+        keep = (
+            (lambda a, b: min(a, b) >= 0.8 * max(a, b))
+            if id_dtype == "int"
+            else (lambda a, b: ham(a, b) <= 3)
+        )
+        want, want_dropped = _probe_index_bruteforce(new, ref, cap, keep)
+        assert want_dropped and want, "fixture must hold pairs and an over-cap band"
+
+        def tab(rows):
+            ids = list(rows)
+            return rd.from_arrow(pa.table({
+                "id": pa.array(ids, pa.int64() if id_dtype == "int" else pa.string()),
+                "attr": pa.array([rows[i][1] for i in ids], pa.int64()),
+                "bands": pa.FixedSizeListArray.from_arrays(
+                    pa.array([b for i in ids for b in rows[i][0]], pa.int64()), n_bands),
+            }))
+
+        test = {"ratio": 0.8} if id_dtype == "int" else {"maxham": 3}
+        for limit in (2_000_000, 0):
+            raw, _ = probe_index_pairs(
+                tab(new), tab(ref), "id", "attr", n_bands, id_dtype=id_dtype,
+                cap=cap, local_probe_limit=limit, **test,
+            )
+            raw = raw.materialize()
+            stats: dict = {}
+            tally_sentinels(raw, stats, id_dtype)
+            assert stats == {"dropped_buckets": len(want_dropped),
+                             "dropped_rows": sum(want_dropped)}
+            got = strip_sentinels(raw, id_dtype).to_pandas().drop_duplicates(["src_id", "dst_id"])
+            pairs = list(zip(got["src_id"].tolist(), got["dst_id"].tolist()))
+            assert len(pairs) == len(got) and set(pairs) == set(want), (seed, limit)
+            assert all(s != d for s, d in pairs)
+            if id_dtype == "str":
+                assert got["hamming"].tolist() == [ham(*want[p]) for p in pairs]

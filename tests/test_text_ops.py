@@ -2251,3 +2251,42 @@ def test_incremental_minhash_duplicated_shard_id_never_self_pairs(ray_session):
         new, ref_sigs, ref, cap=2
     ).to_pandas()
     assert not ((out["a"] == out["b"]).any())
+
+
+def test_incremental_minhash_local_tail_gates_fall_through(docs, monkeypatch):
+    """The local verify tail stops at its gram-vocabulary and
+    referenced-id gates (the vocabulary build stops once it passes
+    BITSET_VOCAB_LIMIT) and falls through to the distributed tail, which
+    gives exactly the default path's rows."""
+    import pyarrow.compute as pc
+
+    from analiticcl_ray.pipelines import text
+    from analiticcl_ray.stages import lsh
+
+    def _half(par):
+        def _f(t):
+            keep = pc.equal(pc.bit_wise_and(t["doc_id"], 1), par)
+            return t.filter(keep).select(["doc_id", "text"])
+
+        return _f
+
+    new = docs.map_batches(_half(1), batch_format="pyarrow")
+    ref = docs.map_batches(_half(0), batch_format="pyarrow")
+    ref_sigs = text.minhash_signatures(ref).materialize()
+
+    def rows():
+        out = text.incremental_minhash_dedup_pairs(new, ref_sigs, ref).to_pandas()
+        return sorted(map(tuple, out[["a", "b", "jaccard"]].values.tolist()))
+
+    # the distributed tail is the only caller of dedup_pairs here
+    calls = []
+    real = lsh.dedup_pairs
+    monkeypatch.setattr(lsh, "dedup_pairs", lambda *a, **k: calls.append(1) or real(*a, **k))
+    want = rows()
+    assert want and not calls
+    monkeypatch.setattr(text, "BITSET_VOCAB_LIMIT", 8)
+    assert rows() == want and len(calls) == 1
+    monkeypatch.undo()
+    monkeypatch.setattr(lsh, "dedup_pairs", lambda *a, **k: calls.append(1) or real(*a, **k))
+    monkeypatch.setattr(text, "LOCAL_VERIFY_IDS", 1)
+    assert rows() == want and len(calls) == 2
