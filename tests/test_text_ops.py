@@ -2290,3 +2290,98 @@ def test_incremental_minhash_local_tail_gates_fall_through(docs, monkeypatch):
     monkeypatch.setattr(lsh, "dedup_pairs", lambda *a, **k: calls.append(1) or real(*a, **k))
     monkeypatch.setattr(text, "LOCAL_VERIFY_IDS", 1)
     assert rows() == want and len(calls) == 2
+
+
+# ---------------------------------------------------------------------
+# exact n-gram Jaccard: every verify engine against one brute force
+# ---------------------------------------------------------------------
+
+def _parity_texts():
+    """Seeded near-dup families plus the edge rows every engine must
+    agree on: a pair at exactly J = 4/5, texts shorter than n, empty
+    texts, non-ASCII (incl. astral) codepoints and an exact duplicate."""
+    import random
+
+    rng = random.Random(20261019)
+    fixed = [
+        "abcdef",                                # 4 grams ...
+        "abcdefg",                               # ... 5 grams: J = 4/5
+        "ab", "ab",                              # shorter than n
+        "", "",                                  # empty
+        "naïve café über straße, 日本語テキスト 😀 ok",
+        "naïve café über straße, 日本語テキスト 😀 ok!",
+        "an exact duplicate of this sentence",
+        "an exact duplicate of this sentence",
+    ]
+    alphabet = "abcdeéü日😀 "
+    texts = list(fixed)
+    for _ in range(30):
+        base = [rng.choice(alphabet) for _ in range(rng.randint(25, 60))]
+        texts.append("".join(base))
+        for _ in range(rng.randint(1, 2)):
+            copy = list(base)
+            for _ in range(rng.randint(0, 3)):
+                copy[rng.randrange(len(copy))] = rng.choice(alphabet)
+            texts.append("".join(copy))
+    # the fixed rows take ids 1..10, so each of their pairs is split one
+    # new (odd), one ref (even) in the incremental test; the rest shuffle
+    rest = list(range(len(fixed) + 1, len(texts) + 1))
+    rng.shuffle(rest)
+    return dict(zip(list(range(1, len(fixed) + 1)) + rest, texts))
+
+
+def _jaccard_bits(ds):
+    """(a, b) -> jaccard float bits of a verified-pairs dataset, after
+    checking its schema and that no pair repeats."""
+    sch = ds.schema()
+    assert sch.names == ["a", "b", "jaccard"]
+    assert [str(t) for t in sch.types] == ["int64", "int64", "double"]
+    rows = [(int(r["a"]), int(r["b"]), float(r["jaccard"])) for r in ds.take_all()]
+    out = {(a, b): j.hex() for a, b, j in rows}
+    assert len(out) == len(rows)
+    return out
+
+
+def test_jaccard_engines_match_bruteforce(ray_session, monkeypatch):
+    """Every exact-Jaccard path gives the brute force's (a, b, jaccard)
+    with equal float bits: ngram_jaccard_pairs dense, sparse with the
+    bitmask verify and sparse with the frozenset verify (vocabulary over
+    BITSET_VOCAB_LIMIT), minhash_dedup_pairs, and both verify tails of
+    incremental_minhash_dedup_pairs against the restricted population."""
+    import pandas as pd
+    import pyarrow as pa
+    import ray.data as rd
+
+    from analiticcl_ray.pipelines import text
+
+    texts = _parity_texts()
+    tab = pa.table({"doc_id": pa.array(list(texts), pa.int64()),
+                    "text": pa.array(list(texts.values()), pa.string())})
+    docs = rd.from_arrow([tab.slice(0, 37), tab.slice(37)])
+    df = pd.DataFrame({"doc_id": list(texts), "text": list(texts.values())})
+
+    def bits(want):
+        return {k: float(j).hex() for k, j in want.items()}
+
+    everything = bits(_restricted_bruteforce(df, lambda i: True))
+    assert everything[(1, 2)] == (4 / 5).hex()
+    assert (9, 10) in everything and (3, 4) not in everything and (5, 6) not in everything
+    assert (7, 8) in everything and len(everything) >= 30
+
+    assert _jaccard_bits(text.ngram_jaccard_pairs(docs)) == everything
+    assert _jaccard_bits(text.ngram_jaccard_pairs(docs, dense_vocab_limit=0)) == everything
+    assert _jaccard_bits(text.minhash_dedup_pairs(docs)) == everything
+
+    new = docs.filter(lambda r: r["doc_id"] % 2 == 1)
+    ref = docs.filter(lambda r: r["doc_id"] % 2 == 0)
+    ref_sigs = text.minhash_signatures(ref).materialize()
+    restricted = bits(_restricted_bruteforce(df, lambda i: i % 2 == 1))
+    assert (1, 2) in restricted and (9, 10) in restricted
+    for limit in (2_000_000, 0):  # local tail, distributed tail
+        got = text.incremental_minhash_dedup_pairs(
+            new, ref_sigs, ref, local_pair_limit=limit
+        )
+        assert _jaccard_bits(got) == restricted
+
+    monkeypatch.setattr(text, "BITSET_VOCAB_LIMIT", 8)
+    assert _jaccard_bits(text.ngram_jaccard_pairs(docs, dense_vocab_limit=0)) == everything
