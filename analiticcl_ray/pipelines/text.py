@@ -211,7 +211,7 @@ def near_dup_clusters(
     docs: "ray.data.Dataset", n: int = 3, threshold: float = 0.8
 ) -> "ray.data.Dataset":
     """Near-duplicate document clusters: exact n-gram-Jaccard pairs
-    (``ngram_jaccard_pairs``, the sparse prefix-filtered path) closed
+    (``ngram_jaccard_pairs``, dense or sparse by vocabulary) closed
     under transitivity by the distributed min-label CC (stages/cc.py).
     Emits (doc_id, cluster_id = min doc_id of the component) for every
     doc in >= 1 verified pair. Fully SQL-checkable: the oracle computes
@@ -917,16 +917,69 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
 BITSET_VOCAB_LIMIT = 65536
 
 
+def jaccard(inter, size_a, size_b) -> np.ndarray:
+    """Exact set Jaccard from counts: |A∩B| / |A∪B| as ONE int/int
+    division (0.0 for two empty sets), bit-identical to the DuckDB
+    oracle. The only division of the exact n-gram Jaccard ops."""
+    union = size_a + size_b - inter
+    return np.where(union > 0, inter / np.maximum(union, 1), 0.0)
+
+
+def _jaccard_rows(a=(), b=(), jac=(), threshold: float = 0.0) -> pa.Table:
+    """The (a int64, b int64, jaccard float64) output of every exact
+    Jaccard path: the rows with jaccard >= threshold. No arguments give
+    the empty table."""
+    jac = np.asarray(jac, dtype=np.float64)
+    keep = jac >= threshold
+    return pa.table(
+        {
+            "a": pa.array(np.asarray(a, dtype=np.int64)[keep], pa.int64()),
+            "b": pa.array(np.asarray(b, dtype=np.int64)[keep], pa.int64()),
+            "jaccard": pa.array(jac[keep], pa.float64()),
+        }
+    )
+
+
+def _gram_masks(texts: list[str], grams: pa.Array, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The gram-mask codec: texts against a gram table -> (masks:
+    (rows, words) uint64 with bit k set where the text holds grams[k],
+    sz: int64 distinct-gram count). One ``pc.index_in`` per call; a
+    gram outside the table counts in ``sz`` and sets no bit."""
+    per = [_gram_list(t, n) for t in texts]
+    sz = np.fromiter(map(len, per), dtype=np.int64, count=len(per))
+    masks = np.zeros((len(per), (len(grams) + 63) // 64), dtype=np.uint64)
+    flat = [g for gs in per for g in gs]
+    if flat:
+        idx = pc.index_in(pa.array(flat, pa.string()), value_set=grams)
+        idx = idx.fill_null(-1).to_numpy(zero_copy_only=False).astype(np.int64)
+        rows = np.repeat(np.arange(len(per)), sz)[idx >= 0]
+        idx = idx[idx >= 0]
+        np.bitwise_or.at(masks, (rows, idx >> 6), np.uint64(1) << (idx & 63).astype(np.uint64))
+    return masks, sz
+
+
+def _mask_array(masks: np.ndarray) -> pa.FixedSizeBinaryArray:
+    """(rows, words) uint64 -> one fixed-width binary value per row.
+    Bytes, not a list<int64>: the cogroup attach's pandas round trip
+    turns int64 lists into float64 and drops the low bits of a word."""
+    rows, words = masks.shape
+    data = pa.py_buffer(np.ascontiguousarray(masks).tobytes())
+    return pa.FixedSizeBinaryArray.from_buffers(pa.binary(8 * words), rows, [None, data])
+
+
+def _mask_columns(col, words: int) -> np.ndarray:
+    """Arrow (fixed_size_)binary mask column -> (rows, words) uint64."""
+    return np.frombuffer(b"".join(col.to_pylist()), dtype=np.uint64).reshape(len(col), words)
+
+
 class _JaccardVerifier:
     """Actor: exact char-n-gram Jaccard on pairs with attached texts —
-    the UNBOUNDED-vocabulary engine (memoized frozenset intersection;
-    the bounded-vocab bitset engine is ``_verify_jaccard_masks``).
+    the UNBOUNDED-vocabulary engine, the only one that runs past
+    ``BITSET_VOCAB_LIMIT`` (memoized frozenset intersection).
 
     Input batch needs src_text/dst_text (attached via
     stages/verify.attach_pair_sides — broadcast or cogroup, never a
-    driver-built dict); emits (a, b, jaccard) filtered at ``threshold``.
-    jaccard = |A∩B| / |A∪B| as ONE int/int division — bit-identical to
-    the DuckDB oracle."""
+    driver-built dict); emits ``_jaccard_rows`` at ``threshold``."""
 
     def __init__(self, n: int, threshold: float):
         self.n = n
@@ -938,31 +991,21 @@ class _JaccardVerifier:
         if g is None:
             if len(self._memo) > 200_000:
                 self._memo.clear()
-            g = frozenset(
-                t[i : i + self.n] for i in range(len(t) - self.n + 1)
-            ) if len(t) >= self.n else frozenset()
+            g = frozenset(t[i : i + self.n] for i in range(len(t) - self.n + 1))
             self._memo[t] = g
         return g
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        a = batch["src_id"].to_pylist()
-        b = batch["dst_id"].to_pylist()
-        st = batch["src_text"].to_pylist()
-        dt = batch["dst_text"].to_pylist()
-        np_a = np.asarray(a, dtype=np.int64)
-        np_b = np.asarray(b, dtype=np.int64)
-        jac = np.empty(len(a), dtype=np.float64)
-        for i in range(len(a)):
-            sa, sb = self._grams(st[i]), self._grams(dt[i])
-            u = len(sa | sb)
-            jac[i] = (len(sa & sb) / u) if u else 0.0
-        keep = jac >= self.threshold
-        return pa.table(
-            {
-                "a": pa.array(np_a[keep], pa.int64()),
-                "b": pa.array(np_b[keep], pa.int64()),
-                "jaccard": pa.array(jac[keep], pa.float64()),
-            }
+        if not len(batch):
+            return _jaccard_rows()
+        counts = []
+        for s, d in zip(batch["src_text"].to_pylist(), batch["dst_text"].to_pylist()):
+            ga, gb = self._grams(s), self._grams(d)
+            counts.append((len(ga & gb), len(ga), len(gb)))
+        inter, sa, sb = np.array(counts, dtype=np.int64).T
+        return _jaccard_rows(
+            batch["src_id"].to_numpy(), batch["dst_id"].to_numpy(),
+            jaccard(inter, sa, sb), self.threshold,
         )
 
 
@@ -973,154 +1016,73 @@ def _verify_jaccard(
     threshold: float,
     attach_method: str = "auto",
     gram_ref=None,
+    _id_filter=None,
 ) -> "ray.data.Dataset":
-    """Exact-verify candidate pairs in an actor pool. Bounded gram
-    vocabulary (``gram_ref``): precomputed BITMASKS are attached to the
-    pair sides instead of texts (~6x lighter through the attach, fully
-    vectorized popcount verify, zero per-pair Python). Unbounded:
-    texts attach and a memoized frozenset engine verifies. Either way
-    the attach is the broadcast/cogroup auto machinery — no driver
-    materialization."""
+    """The one exact verify of candidate pairs (src_id, dst_id), in an
+    actor pool. Bounded gram vocabulary (``gram_ref``, at most
+    ``BITSET_VOCAB_LIMIT`` grams): the codec's BITMASKS are attached to
+    the pair sides instead of texts (~6x lighter through the attach,
+    vectorized popcount verify, zero per-pair Python). Otherwise texts
+    attach and the frozenset engine verifies. Either way the attach is
+    the broadcast/cogroup auto machinery — no driver materialization.
+    ``_id_filter`` restricts the attached rows to the referenced ids."""
     import ray
 
-    from ..stages.verify import attach_pair_sides
-
-    from ..stages.verify import choose_attach_method
+    from ..stages.verify import attach_pair_sides, choose_attach_method
 
     # resolve "auto" against the BASE table (metadata-cheap count): the
     # side actually attached is a transform of ``docs`` with the same
     # row count, and counting the transformed dataset would execute its
-    # whole pipeline once just to pick a strategy
-    if attach_method == "auto":
+    # whole pipeline once just to pick a strategy (an id filter sizes
+    # the attach by the referenced ids instead)
+    if attach_method == "auto" and _id_filter is None:
         attach_method = choose_attach_method(docs)
+    docs = docs.select_columns(["doc_id", "text"])
 
-    gram_table = ray.get(gram_ref) if gram_ref is not None else None
-    if (
-        gram_table is not None
-        and len(gram_table) <= BITSET_VOCAB_LIMIT
-    ):
-        return _verify_jaccard_masks(
-            pairs, docs, gram_table, n, threshold, attach_method
+    def _attach(side: "ray.data.Dataset", cols: list[str]) -> "ray.data.Dataset":
+        # min-1 actor pools: the pipeline already runs a signature pool;
+        # pools reserving min(actors)·num_cpus >= total CPUs starve the
+        # task operators (read/sort) and deadlock the streaming executor
+        return attach_pair_sides(
+            pairs, side, cols, method=attach_method, id_filter=_id_filter,
+            id_col="doc_id", concurrency=(1, 8),
         )
 
-    # min-1 actor pools: the pipeline already runs a signature pool;
-    # pools reserving min(actors)·num_cpus >= total CPUs starve the
-    # task operators (read/sort) and deadlock the streaming executor
-    attached = attach_pair_sides(
-        pairs,
-        docs.select_columns(["doc_id", "text"]),
-        ["text"],
-        method=attach_method,
-        id_col="doc_id",
-        concurrency=(1, 8),
-    )
-    return attached.map_batches(
-        _JaccardVerifier,
-        fn_constructor_args=(n, threshold),
-        batch_format="pyarrow",
-        concurrency=(1, 8),
-    )
-
-
-def _mask_columns(batch_col, words: int) -> np.ndarray:
-    """Arrow (fixed_size_)list<int64> mask column -> (n, words) uint64."""
-    col = batch_col.combine_chunks() if isinstance(batch_col, pa.ChunkedArray) else batch_col
-    if pa.types.is_fixed_size_list(col.type):
-        flat = col.flatten().to_numpy(zero_copy_only=False)
-        return flat.view(np.uint64).reshape(len(col), words)
-    return np.array(col.to_pylist(), dtype=np.int64).view(np.uint64).reshape(
-        len(col), words
-    )
-
-
-def _verify_jaccard_masks(
-    pairs: "ray.data.Dataset",
-    docs: "ray.data.Dataset",
-    gram_table: pa.Table,
-    n: int,
-    threshold: float,
-    attach_method: str = "auto",
-) -> "ray.data.Dataset":
-    import ray
-
-    from ..stages.verify import attach_pair_sides
+    gram_table = ray.get(gram_ref) if gram_ref is not None else None
+    if gram_table is None or len(gram_table) > BITSET_VOCAB_LIMIT:
+        return _attach(docs, ["text"]).map_batches(
+            _JaccardVerifier,
+            fn_constructor_args=(n, threshold),
+            batch_format="pyarrow",
+            concurrency=(1, 8),
+        )
 
     words = (len(gram_table) + 63) // 64
     grams_ref = ray.put(gram_table["gram"].combine_chunks())
 
     def _mask_rows(batch: pa.Table) -> pa.Table:
-        grams = ray.get(grams_ref)
-        texts = batch["text"].to_pylist()
-        nr = len(texts)
-        masks = np.zeros((nr, words), dtype=np.uint64)
-        szs = np.zeros(nr, dtype=np.int64)
-        for i, t in enumerate(texts):
-            gs = _gram_list(t, n)
-            szs[i] = len(gs)
-            if gs:
-                idx = (
-                    pc.index_in(pa.array(gs, pa.string()), value_set=grams)
-                    .fill_null(-1)
-                    .to_numpy(zero_copy_only=False)
-                    .astype(np.int64)
-                )
-                idx = idx[idx >= 0]
-                np.bitwise_or.at(
-                    masks[i], idx >> 6,
-                    np.uint64(1) << (idx & 63).astype(np.uint64),
-                )
+        masks, sz = _gram_masks(batch["text"].to_pylist(), ray.get(grams_ref), n)
         return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "sz": pa.array(szs, pa.int64()),
-                "mask": pa.FixedSizeListArray.from_arrays(
-                    pa.array(masks.reshape(-1).view(np.int64), pa.int64()), words
-                ),
-            }
+            {"doc_id": batch["doc_id"], "sz": pa.array(sz, pa.int64()), "mask": _mask_array(masks)}
         )
 
-    masks_ds = docs.select_columns(["doc_id", "text"]).map_batches(
-        _mask_rows, batch_format="pyarrow"
-    )
+    masks_ds = docs.map_batches(_mask_rows, batch_format="pyarrow")
     if attach_method == "cogroup":
         # the cogroup join counts its side for adaptive bucket sizing
         # and then consumes it — materialize the (slim) mask table so
         # the mask-construction pass runs once, not twice
         masks_ds = masks_ds.materialize()
-    attached = attach_pair_sides(
-        pairs, masks_ds, ["mask", "sz"], method=attach_method,
-        id_col="doc_id", concurrency=(1, 8),
-    )
 
     def _verify(batch: pa.Table) -> pa.Table:
         if not len(batch):
-            return pa.table(
-                {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-                 "jaccard": pa.array([], pa.float64())}
-            )
-        ma = _mask_columns(batch["src_mask"], words)
-        mb = _mask_columns(batch["dst_mask"], words)
-        sza = np.asarray(batch["src_sz"].to_pylist(), dtype=np.int64)
-        szb = np.asarray(batch["dst_sz"].to_pylist(), dtype=np.int64)
-        inter = _popcount64(ma & mb).sum(axis=1)
-        union = sza + szb - inter
-        jac = np.where(union > 0, inter / np.maximum(union, 1), 0.0)
-        keep = jac >= threshold
-        return pa.table(
-            {
-                "a": pa.array(
-                    np.asarray(batch["src_id"].to_pylist(), dtype=np.int64)[keep],
-                    pa.int64(),
-                ),
-                "b": pa.array(
-                    np.asarray(batch["dst_id"].to_pylist(), dtype=np.int64)[keep],
-                    pa.int64(),
-                ),
-                "jaccard": pa.array(jac[keep], pa.float64()),
-            }
+            return _jaccard_rows()
+        both = _mask_columns(batch["src_mask"], words) & _mask_columns(batch["dst_mask"], words)
+        jac = jaccard(
+            _popcount64(both).sum(axis=1), batch["src_sz"].to_numpy(), batch["dst_sz"].to_numpy()
         )
+        return _jaccard_rows(batch["src_id"].to_numpy(), batch["dst_id"].to_numpy(), jac, threshold)
 
-    return attached.map_batches(_verify, batch_format="pyarrow")
+    return _attach(masks_ds, ["mask", "sz"]).map_batches(_verify, batch_format="pyarrow")
 
 
 def _gram_df_table(docs: "ray.data.Dataset", n: int) -> pa.Table:
@@ -1196,118 +1158,49 @@ def _dense_gram_jaccard(
     key_lut = block_pair_key_lut(n_parts)
 
     def _explode(batch: pa.Table) -> pa.Table:
-        grams = ray.get(grams_ref)
-        ids = np.asarray(batch["doc_id"].to_pylist(), dtype=np.int64)
-        texts = batch["text"].to_pylist()
-        nr = len(ids)
-        masks = np.zeros((nr, words), dtype=np.uint64)
-        szs = np.zeros(nr, dtype=np.int64)
-        for i, t in enumerate(texts):
-            gs = _gram_list(t, n)
-            szs[i] = len(gs)
-            if gs:
-                idx = (
-                    pc.index_in(pa.array(gs, pa.string()), value_set=grams)
-                    .fill_null(-1)
-                    .to_numpy(zero_copy_only=False)
-                    .astype(np.int64)
-                )
-                idx = idx[idx >= 0]
-                np.bitwise_or.at(
-                    masks[i], idx >> 6,
-                    np.uint64(1) << (idx & 63).astype(np.uint64),
-                )
-        parts = (ids % n_parts).astype(np.int64)
-        keys = np.empty(nr * n_parts, dtype=np.int64)
-        rep_ids = np.empty(nr * n_parts, dtype=np.int64)
-        rep_part = np.empty(nr * n_parts, dtype=np.int64)
-        rep_sz = np.empty(nr * n_parts, dtype=np.int64)
-        for q in range(n_parts):
-            sl = slice(q * nr, (q + 1) * nr)
-            keys[sl] = key_lut[parts, q]
-            rep_ids[sl] = ids
-            rep_part[sl] = parts
-            rep_sz[sl] = szs
-        rep_masks = np.tile(masks, (n_parts, 1))
+        masks, sz = _gram_masks(batch["text"].to_pylist(), ray.get(grams_ref), n)
+        ids = np.asarray(batch["doc_id"].to_numpy(), dtype=np.int64)
+        parts = ids % n_parts
+        # copy q of every row carries the key of block pair (part, q)
         return pa.table(
             {
-                "pkey": pa.array(keys, pa.int64()),
-                "doc_id": pa.array(rep_ids, pa.int64()),
-                "part": pa.array(rep_part, pa.int64()),
-                "sz": pa.array(rep_sz, pa.int64()),
-                "mask": pa.FixedSizeListArray.from_arrays(
-                    pa.array(rep_masks.reshape(-1).view(np.int64), pa.int64()),
-                    words,
-                ),
+                "pkey": pa.array(key_lut[parts].T.reshape(-1), pa.int64()),
+                "doc_id": pa.array(np.tile(ids, n_parts), pa.int64()),
+                "part": pa.array(np.tile(parts, n_parts), pa.int64()),
+                "sz": pa.array(np.tile(sz, n_parts), pa.int64()),
+                "mask": _mask_array(np.tile(masks, (n_parts, 1))),
             }
         )
 
-    def _bits(mask_rows: np.ndarray) -> np.ndarray:
-        """(n, words) uint64 -> (n, u) float64 0/1 matrix."""
-        by = mask_rows.view(np.uint8).reshape(len(mask_rows), words * 8)
+    def _side(group: pa.Table, part: int):
+        """One block of a group (first copy of an id): ids, 0/1 grams, sizes."""
+        ids = group["doc_id"].to_numpy()
+        rows = np.flatnonzero(group["part"].to_numpy() == part)
+        rows = rows[np.sort(np.unique(ids[rows], return_index=True)[1])]
+        mask = _mask_columns(group["mask"], words)[rows]
+        by = mask.view(np.uint8).reshape(len(rows), words * 8)
         bits = np.unpackbits(by, axis=1, bitorder="little")[:, :u]
-        return bits.astype(np.float64)
+        return ids[rows], bits.astype(np.float64), group["sz"].to_numpy()[rows]
 
-    def _cross(group: pd.DataFrame) -> pa.Table:
-        empty = pa.table(
-            {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-             "jaccard": pa.array([], pa.float64())}
-        )
+    def _cross(group: pa.Table) -> pa.Table:
         if not len(group):
-            return empty
-        a, b = decode_block_pair_key(int(group["pkey"].iloc[0]), n_parts)
-        ga = group[group["part"] == a].drop_duplicates("doc_id")
-        out_a: np.ndarray
-        if a == b:
-            ids = ga["doc_id"].to_numpy()
-            if len(ids) < 2:
-                return empty
-            m = np.stack(
-                [np.asarray(x, dtype=np.int64).view(np.uint64) for x in ga["mask"]]
-            )
-            sz = ga["sz"].to_numpy()
-            bits = _bits(m)
-            inter = bits @ bits.T
-            iu, ju = np.triu_indices(len(ids), 1)
-            inter_v = inter[iu, ju]
-            union = sz[iu] + sz[ju] - inter_v
-            jac = np.where(union > 0, inter_v / np.maximum(union, 1), 0.0)
-            hit = jac >= threshold
-            lo = np.minimum(ids[iu[hit]], ids[ju[hit]])
-            hi = np.maximum(ids[iu[hit]], ids[ju[hit]])
-            return pa.table(
-                {"a": pa.array(lo, pa.int64()), "b": pa.array(hi, pa.int64()),
-                 "jaccard": pa.array(jac[hit], pa.float64())}
-            )
-        gb = group[group["part"] == b].drop_duplicates("doc_id")
-        if not len(ga) or not len(gb):
-            return empty
-        ia = ga["doc_id"].to_numpy()
-        ib = gb["doc_id"].to_numpy()
-        ma = np.stack(
-            [np.asarray(x, dtype=np.int64).view(np.uint64) for x in ga["mask"]]
-        )
-        mb = np.stack(
-            [np.asarray(x, dtype=np.int64).view(np.uint64) for x in gb["mask"]]
-        )
-        inter = _bits(ma) @ _bits(mb).T
-        sza = ga["sz"].to_numpy()
-        szb = gb["sz"].to_numpy()
-        union = sza[:, None] + szb[None, :] - inter
-        jac = np.where(union > 0, inter / np.maximum(union, 1), 0.0)
-        ii, jj = np.where(jac >= threshold)
-        lo = np.minimum(ia[ii], ib[jj])
-        hi = np.maximum(ia[ii], ib[jj])
-        return pa.table(
-            {"a": pa.array(lo, pa.int64()), "b": pa.array(hi, pa.int64()),
-             "jaccard": pa.array(jac[ii, jj], pa.float64())}
+            return _jaccard_rows()
+        a, b = decode_block_pair_key(group["pkey"][0].as_py(), n_parts)
+        sides = {p: _side(group, p) for p in {a, b}}
+        (ia, ba, sa), (ib, bb, sb) = sides[a], sides[b]
+        jac = jaccard(ba @ bb.T, sa[:, None], sb[None, :])
+        ii, jj = np.nonzero(jac >= threshold)
+        if a == b:  # a block against itself: the upper triangle
+            ii, jj = ii[ii < jj], jj[ii < jj]
+        return _jaccard_rows(
+            np.minimum(ia[ii], ib[jj]), np.maximum(ia[ii], ib[jj]), jac[ii, jj], threshold
         )
 
     return (
         docs.select_columns(["doc_id", "text"])
         .map_batches(_explode, batch_format="pyarrow")
         .groupby("pkey")
-        .map_groups(_cross, batch_format="pandas")
+        .map_groups(_cross, batch_format="pyarrow")
     )
 
 
@@ -1584,7 +1477,7 @@ def minhash_dedup_pairs(
     when the gram vocabulary (df pass, small aggregate) is bounded."""
     import ray
 
-    from ..stages.lsh import cooccurrence_pairs, dedup_pairs
+    from ..stages.lsh import cooccurrence_pairs, dedup_pairs, explode_band_rows
 
     # widen banding only when the caller left cfg at the defaults — an
     # explicit DedupConfig(bands=...) is a deliberate recall/volume
@@ -1598,18 +1491,6 @@ def minhash_dedup_pairs(
         concurrency=(1, 4),
     )
 
-    def _explode(batch: pa.Table) -> pa.Table:
-        arr = batch["bands"].combine_chunks()
-        width = arr.type.list_size
-        idx = pa.array(np.repeat(np.arange(len(batch), dtype=np.int64), width))
-        return pa.table(
-            {
-                "band": arr.flatten(),
-                "doc_id": batch["doc_id"].take(idx).combine_chunks(),
-                "n_grams": batch["n_grams"].take(idx).combine_chunks(),
-            }
-        )
-
     # size-ratio prune at pair emission: J >= t forces gram-set sizes
     # within ratio t (min >= t*max), so pairs outside it are dropped
     # BEFORE the dedup shuffle and the verify — exact-safe, and the
@@ -1617,7 +1498,9 @@ def minhash_dedup_pairs(
     # background similarity makes banding unselective
     cand = dedup_pairs(
         cooccurrence_pairs(
-            sig.map_batches(_explode, batch_format="pyarrow"),
+            explode_band_rows(
+                sig, band_cols=("bands",), id_col="doc_id", carry_cols=("n_grams",)
+            ),
             "band",
             "doc_id",
             cfg.bucket_cap,
@@ -1710,14 +1593,14 @@ def incremental_minhash_dedup_pairs(
     gram vocabulary (over the referenced texts only) of at most
     ``BITSET_VOCAB_LIMIT``, it runs on the driver: pandas
     drop_duplicates mirroring dedup_pairs, ONE task-only filtered scan
-    pulling just the referenced texts, and a vectorized bitset Jaccard.
-    Driver memory there is O(candidate pairs) (~32 B a row) +
-    O(referenced ids × (text + vocab/64 words)): the dense mask is at
-    most 256 MiB, and the pair-side AND runs in chunks of 32 MiB a side.
-    Past any gate (the vocabulary build stops as soon as it passes its
-    limit) the distributed tail runs instead: dedup_pairs shuffle, texts
-    attached only for referenced ids (``id_filter``), actor-pool verify.
-    Output is identical either way (pytest-forced boundary parity).
+    pulling just the referenced texts, and the gram-mask codec's bitset
+    Jaccard. Driver memory there is O(candidate pairs) (~32 B a row) +
+    O(referenced ids × (text + vocab/64 words)): the vocabulary is
+    counted before any mask is allocated, the dense mask is at most
+    256 MiB, and the pair-side AND runs in chunks of 32 MiB a side. Past
+    any gate the distributed tail runs instead: dedup_pairs shuffle,
+    then ``_verify_jaccard`` with texts attached only for the referenced
+    ids. Output is identical either way (pytest-forced boundary parity).
 
     Recall: both sides band identically (``_minhash_cfg``), so the
     per-pair candidate probability at J >= 0.8 is the symmetric op's
@@ -1726,7 +1609,6 @@ def incremental_minhash_dedup_pairs(
     hash oracle in __ray_entry__.py; brute-force pytest in
     tests/test_text_ops.py)."""
     from ..stages.lsh import dedup_pairs, probe_index_pairs, strip_sentinels, tally_sentinels
-    from ..stages.verify import attach_pair_sides
 
     cfg = _minhash_cfg(cfg)
     raw, supersede = probe_index_pairs(
@@ -1756,26 +1638,12 @@ def incremental_minhash_dedup_pairs(
             return out
 
     cand = strip_sentinels(dedup_pairs(raw, id_dtype="int").materialize(), "int")
-    needed: set[int] = set()
-    for b in cand.select_columns(["src_id", "dst_id"]).iter_batches(
+    batches = cand.select_columns(["src_id", "dst_id"]).iter_batches(
         batch_size=65536, batch_format="pyarrow"
-    ):
-        needed.update(b["src_id"].to_pylist())
-        needed.update(b["dst_id"].to_pylist())
-    attached = attach_pair_sides(
-        cand,
-        docs_all,
-        ["text"],
-        method=attach_method,
-        id_filter=needed,
-        id_col="doc_id",
-        concurrency=(1, 8),
     )
-    return attached.map_batches(
-        _JaccardVerifier,
-        fn_constructor_args=(n, jaccard_threshold),
-        batch_format="pyarrow",
-        concurrency=(1, 8),
+    needed = {i for b in batches for i in b["src_id"].to_pylist() + b["dst_id"].to_pylist()}
+    return _verify_jaccard(
+        cand, docs_all, n, jaccard_threshold, attach_method, _id_filter=needed
     )
 
 
@@ -1818,39 +1686,21 @@ def _local_jaccard_tail(
                 f"{len(missing)} candidate ids have no text in "
                 f"new_docs/ref_docs (e.g. {sorted(missing)[:3]})"
             )
-    # vectorized bitset verify: gram vocab + per-id masks built once over
-    # the referenced texts, then one SWAR popcount pass over the pairs
-    gram_ids: dict[str, int] = {}
-    sets: list[list[int]] = []
-    for i in ids.tolist():
-        grams = {texts[i][k : k + n] for k in range(len(texts[i]) - n + 1)}
-        sets.append([gram_ids.setdefault(g, len(gram_ids)) for g in grams])
-        if len(gram_ids) > BITSET_VOCAB_LIMIT:
-            return None
-    words = max(1, (len(gram_ids) + 63) // 64)
-    masks = np.zeros((len(ids), words), dtype=np.uint64)
-    szs = np.array([len(row) for row in sets], dtype=np.int64)
-    for k, row in enumerate(sets):
-        if row:
-            idxs = np.asarray(row, dtype=np.int64)
-            np.bitwise_or.at(masks[k], idxs >> 6, np.uint64(1) << (idxs & 63).astype(np.uint64))
+    # the gram-mask codec over a gram table of the referenced texts,
+    # its size gated before any mask is allocated
+    ref_texts = [texts[i] for i in ids.tolist()]
+    grams, _ = _batch_gram_df(ref_texts, n)
+    if len(grams) > BITSET_VOCAB_LIMIT:
+        return None
+    masks, szs = _gram_masks(ref_texts, pa.array(grams, pa.string()), n)
     ai, bi = np.searchsorted(ids, src), np.searchsorted(ids, dst)
     inter = np.empty(len(df), dtype=np.int64)
-    step = max(1, (1 << 22) // words)
+    step = max(1, (1 << 22) // max(1, masks.shape[1]))
     for k in range(0, len(df), step):
         both = masks[ai[k : k + step]] & masks[bi[k : k + step]]
         inter[k : k + step] = _popcount64(both).sum(axis=1)
-    union = szs[ai] + szs[bi] - inter
-    jac = np.where(union > 0, inter / np.maximum(union, 1), 0.0)
-    keep = jac >= threshold
     return ray.data.from_arrow(
-        pa.table(
-            {
-                "a": pa.array(src[keep], pa.int64()),
-                "b": pa.array(dst[keep], pa.int64()),
-                "jaccard": pa.array(jac[keep], pa.float64()),
-            }
-        )
+        _jaccard_rows(src, dst, jaccard(inter, szs[ai], szs[bi]), threshold)
     )
 
 

@@ -195,3 +195,103 @@ def test_entry_points_do_not_import_text_or_multimodal():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True
     )
     assert out.stdout.strip() == "[]", out.stdout + out.stderr[-2000:]
+
+
+_KILL_SCRIPT = """
+import json, sys
+sys.path.insert(0, {root!r})
+import ray
+from analiticcl_ray.pipelines.runner import run_dedup_job
+
+ray.init(address="local", num_cpus=4, include_dashboard=False,
+         logging_level="ERROR", object_store_memory=256 << 20)
+lineage = run_dedup_job({src!r}, {out!r}, n_shards=4)
+print("LINEAGE", json.dumps(lineage))
+ray.shutdown()
+"""
+
+
+def test_resume_after_sigkill(job_dirs, tmp_path):
+    """A real crash: run_dedup_job in a subprocess is SIGKILLed (its
+    whole process group, Ray included) once the pairs stage is
+    published, as the verified stage starts its write. A second
+    subprocess resumes: a stage is served only where its manifest was
+    complete at the kill, every other stage is recomputed, no ``*.tmp``
+    directory is left, and the clusters equal a clean run's."""
+    import glob
+    import signal
+    import subprocess
+    import sys
+    import time
+
+    from analiticcl_ray.pipelines.runner import run_dedup_job
+
+    src, _, _ = job_dirs
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = str(tmp_path / "job")
+    script = tmp_path / "job.py"
+    script.write_text(_KILL_SCRIPT.format(root=root, src=src, out=out))
+    paths = [root, *os.environ.get("PYTHONPATH", "").split(os.pathsep)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    t_start = time.monotonic()
+
+    def _spawn(log: str):
+        # output goes to a file: a full pipe would stall the job
+        with open(tmp_path / log, "w") as f:
+            return subprocess.Popen(
+                [sys.executable, str(script)], cwd=str(tmp_path), env=env,
+                stdout=f, stderr=subprocess.STDOUT, start_new_session=True,
+            )
+
+    def _kill(proc):
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait(timeout=20)
+
+    def _log(name: str) -> str:
+        return (tmp_path / name).read_text()
+
+    proc = _spawn("killed.log")
+    # kill once pairs is published and the verified stage has begun its
+    # write (its .tmp directory exists), or at the first of the two seen
+    # before the deadline runs out
+    published = os.path.join(out, "pairs", "_manifest.json")
+    writing = [os.path.join(out, "verified.tmp"), os.path.join(out, "verified")]
+    deadline = time.monotonic() + 40
+    while not (os.path.exists(published) and any(map(os.path.exists, writing))):
+        if proc.poll() is not None or time.monotonic() > deadline:
+            break
+        time.sleep(0.02)
+    if not os.path.exists(published):
+        _kill(proc)
+        raise AssertionError(f"pairs never published: {_log('killed.log')[-2000:]}")
+    _kill(proc)
+    assert proc.returncode == -signal.SIGKILL
+    served = {
+        s for s in ("pairs", "verified", "clusters")
+        if os.path.exists(os.path.join(out, s, "_manifest.json"))
+    }
+    assert "pairs" in served and "clusters" not in served
+    shards = len(glob.glob(os.path.join(out, "signatures", "shard=*", "_SUCCESS")))
+    assert shards == 4
+
+    proc = _spawn("resumed.log")
+    try:
+        proc.wait(timeout=40)
+    except subprocess.TimeoutExpired:
+        _kill(proc)
+        raise AssertionError("resume did not finish within 40 s")
+    lines = [ln for ln in _log("resumed.log").splitlines() if ln.startswith("LINEAGE ")]
+    assert proc.returncode == 0 and lines, _log("resumed.log")[-2000:]
+    lineage = json.loads(lines[-1][len("LINEAGE "):])
+    assert lineage["stages"][0]["resumed_shards"] == shards
+    for st in lineage["stages"][1:]:
+        assert bool(st.get("resumed")) == (st["stage"] in served), st
+    assert not glob.glob(os.path.join(out, "*.tmp"))
+    assert time.monotonic() - t_start < 90
+
+    clean = str(tmp_path / "clean")
+    run_dedup_job(src, clean, n_shards=4)
+    assert _clusters(out) == _clusters(clean)

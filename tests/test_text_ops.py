@@ -2255,9 +2255,10 @@ def test_incremental_minhash_duplicated_shard_id_never_self_pairs(ray_session):
 
 def test_incremental_minhash_local_tail_gates_fall_through(docs, monkeypatch):
     """The local verify tail stops at its gram-vocabulary and
-    referenced-id gates (the vocabulary build stops once it passes
-    BITSET_VOCAB_LIMIT) and falls through to the distributed tail, which
-    gives exactly the default path's rows."""
+    referenced-id gates (the vocabulary is checked against
+    BITSET_VOCAB_LIMIT before any mask is allocated) and falls through
+    to the distributed tail, which gives exactly the default path's
+    rows."""
     import pyarrow.compute as pc
 
     from analiticcl_ray.pipelines import text
@@ -2345,8 +2346,9 @@ def _jaccard_bits(ds):
 def test_jaccard_engines_match_bruteforce(ray_session, monkeypatch):
     """Every exact-Jaccard path gives the brute force's (a, b, jaccard)
     with equal float bits: ngram_jaccard_pairs dense, sparse with the
-    bitmask verify and sparse with the frozenset verify (vocabulary over
-    BITSET_VOCAB_LIMIT), minhash_dedup_pairs, and both verify tails of
+    bitmask verify (broadcast and cogroup attach) and sparse with the
+    frozenset verify (vocabulary over BITSET_VOCAB_LIMIT),
+    minhash_dedup_pairs (both attaches), and both verify tails of
     incremental_minhash_dedup_pairs against the restricted population."""
     import pandas as pd
     import pyarrow as pa
@@ -2371,6 +2373,10 @@ def test_jaccard_engines_match_bruteforce(ray_session, monkeypatch):
     assert _jaccard_bits(text.ngram_jaccard_pairs(docs)) == everything
     assert _jaccard_bits(text.ngram_jaccard_pairs(docs, dense_vocab_limit=0)) == everything
     assert _jaccard_bits(text.minhash_dedup_pairs(docs)) == everything
+    # the masks through the cogroup attach (its pandas round trip)
+    sparse_cg = text.ngram_jaccard_pairs(docs, dense_vocab_limit=0, attach_method="cogroup")
+    assert _jaccard_bits(sparse_cg) == everything
+    assert _jaccard_bits(text.minhash_dedup_pairs(docs, attach_method="cogroup")) == everything
 
     new = docs.filter(lambda r: r["doc_id"] % 2 == 1)
     ref = docs.filter(lambda r: r["doc_id"] % 2 == 0)
