@@ -48,6 +48,53 @@ def test_broadcast_equals_cogroup(attach_inputs):
     assert b == c
 
 
+def test_cogroup_keeps_int64_exact(ray_session):
+    """int64 value columns come back from the cogroup join with the types
+    and values the broadcast join gives: keys above 2^53 and two phashes
+    that differ only in their low bits (a float64 round trip merges both
+    pairs)."""
+    import ray.data as rd
+
+    from analiticcl_ray.stages.verify import attach_pair_sides
+
+    big, ph = 2**62, 0x7FFF_FFFF_FFFF_FF00
+    corpus = rd.from_arrow(
+        pa.table(
+            {
+                "image_id": ["a", "b", "c", "d"],
+                "bytes_key": pa.array([big + 1, big + 2, 5, big + 1], pa.int64()),
+                "phash": pa.array([ph, ph + 1, ph + 2, ph], pa.int64()),
+            }
+        )
+    )
+    pairs = rd.from_arrow(
+        pa.table(
+            {
+                "src_id": ["a", "a", "b", "a"],
+                "dst_id": ["b", "c", "c", "d"],
+                "capped": [False, False, True, False],
+            }
+        )
+    )
+
+    def attached(method):
+        out = attach_pair_sides(
+            pairs, corpus, ["bytes_key", "phash"], method=method
+        ).materialize()
+        rows = sorted(out.take_all(), key=lambda r: (r["src_id"], r["dst_id"]))
+        schema = out.schema()
+        return dict(zip(schema.names, schema.types)), rows
+
+    b_types, b_rows = attached("broadcast")
+    c_types, c_rows = attached("cogroup")
+    assert b_types["src_bytes_key"] == pa.int64() and b_types["dst_phash"] == pa.int64()
+    assert c_types == b_types
+    assert c_rows == b_rows
+    assert [r["src_bytes_key"] == r["dst_bytes_key"] for r in c_rows] == [
+        False, False, True, False
+    ]
+
+
 def test_broadcast_missing_id_raises(attach_inputs):
     import ray
     import ray.data as rd
