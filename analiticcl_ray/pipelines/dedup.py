@@ -51,10 +51,10 @@ from ..stages.lsh import (
     dedup_pairs,
     explode_band_rows,
     pair_summary,
-    pool_width,
     strip_sentinels,
     widen_blocks,
 )
+from ..stages.pools import actor_map, pool_width
 from ..stages.signatures import CaptionSignatures, phash_band_table
 from ..stages.substring import SubstringFingerprints
 from ..stages.verify import (
@@ -64,57 +64,16 @@ from ..stages.verify import (
     split_exact_and_prune,
 )
 
-#: the read task needs a CPU besides the one a signature actor holds;
-#: with one CPU the read waits forever for the actor's slot
-MIN_RAY_CPUS = 2
 # batch_size 1024 (not 4096): the signature kernels chunk internally at
 # 256 docs, so smaller batches cost no vectorization — but they quadruple
 # the task count, which is what keeps the whole actor pool busy on
 # small/tail partitions (measured 2.3 s vs 5.7 s at 20k rows, 16 actors;
 # at 1M rows the task count is ample either way)
 SIGNATURE_BATCH_SIZE = 1024
-_PROBE_TIMEOUT_S = 60
 
 
 def _since(t0: float) -> float:
     return round(time.perf_counter() - t0, 3)
-
-
-def check_ray_can_run(
-    stage_classes=(CaptionSignatures, SubstringFingerprints, CaptionVerifier, ImageVerifier),
-    min_cpus: int = MIN_RAY_CPUS,
-) -> None:
-    """Raise, before any actor pool starts, where a stage graph would
-    otherwise hang: fewer than ``min_cpus`` Ray CPUs, or workers that
-    cannot import the modules of ``stage_classes`` (Ray restarts such a
-    pool without end). One zero-CPU Ray task resolves those modules. The
-    defaults are the dedup stage graph's."""
-    import importlib
-
-    import ray
-
-    def _resolve(names: list[str]) -> None:
-        for name in names:
-            importlib.import_module(name)
-
-    modules = sorted({cls.__module__ for cls in stage_classes})
-    # .remote() starts Ray if nothing has yet, as any Ray Data call would
-    probe = ray.remote(num_cpus=0)(_resolve).remote(modules)
-    cpus = ray.cluster_resources().get("CPU", 0)
-    if cpus < min_cpus:
-        raise RuntimeError(
-            f"the stages {', '.join(c.__name__ for c in stage_classes)} need at "
-            f"least {min_cpus} Ray CPUs, this Ray session has {cpus:g}: start Ray "
-            f"with num_cpus>={min_cpus}"
-        )
-    try:
-        ray.get(probe, timeout=_PROBE_TIMEOUT_S)
-    except ray.exceptions.RayTaskError as e:
-        raise RuntimeError(
-            f"Ray workers cannot import the stage modules {modules}; "
-            "put the directory that holds analiticcl_ray on the workers' "
-            "PYTHONPATH (or in the runtime_env) before starting Ray"
-        ) from e
 
 
 def signature_columns(cfg: DedupConfig) -> list[str]:
@@ -124,23 +83,17 @@ def signature_columns(cfg: DedupConfig) -> list[str]:
 
 
 def signatures_stage(
-    corpus: "ray.data.Dataset", cfg: DedupConfig, concurrency=(1, 8), carry_cols=()
+    corpus: "ray.data.Dataset", cfg: DedupConfig, concurrency=None, carry_cols=()
 ) -> tuple["ray.data.Dataset", dict]:
     """Corpus -> slim signature table (binary column projected away
     before any shuffle), materialized: the pairs and verified stages
     both read it. ``carry_cols`` ride through unchanged."""
     t0 = time.perf_counter()
     carry = list(carry_cols)
-    # Actor pools keep Ray Data's restart defaults: max_restarts=0 would
-    # silence the ray#53727 informational line (VERDICT r4 item 6; it is
-    # filtered in bench.py instead) but also turns off task retries,
-    # measured ~13% slower dispatch across every pool.
-    sigs = corpus.select_columns(["image_id", "caption", "phash", "bytes", *carry]).map_batches(
-        CaptionSignatures,
-        fn_constructor_args=(cfg,),
-        batch_format="pyarrow",
-        batch_size=SIGNATURE_BATCH_SIZE,
-        concurrency=concurrency,
+    sigs = actor_map(
+        corpus.select_columns(["image_id", "caption", "phash", "bytes", *carry]),
+        CaptionSignatures, cfg,
+        batch_size=SIGNATURE_BATCH_SIZE, concurrency=concurrency,
     )
     if cfg.use_phash_bands:
         sigs = sigs.map_batches(
@@ -151,7 +104,7 @@ def signatures_stage(
 
 
 def pairs_stage(
-    sigs: "ray.data.Dataset", cfg: DedupConfig, concurrency=(1, 8)
+    sigs: "ray.data.Dataset", cfg: DedupConfig, concurrency=None
 ) -> tuple["ray.data.Dataset", dict]:
     """Signature table -> canonical candidate pairs (src_id, dst_id,
     capped), materialized. Stats carry the dropped-bucket sentinels
@@ -161,12 +114,9 @@ def pairs_stage(
     shuffle)."""
     t0 = time.perf_counter()
     band_rows = explode_band_rows(sigs, band_cols=("bands",)).union(
-        sigs.select_columns(["image_id", "caption"]).map_batches(
-            SubstringFingerprints,
-            fn_constructor_args=(cfg,),
-            batch_format="pyarrow",
-            batch_size=SIGNATURE_BATCH_SIZE,
-            concurrency=concurrency,
+        actor_map(
+            sigs.select_columns(["image_id", "caption"]), SubstringFingerprints, cfg,
+            batch_size=SIGNATURE_BATCH_SIZE, concurrency=concurrency,
         ),
         # exact content-key co-occurrence rides the SAME exchange as the
         # LSH bands: content keys are just one more key source
@@ -230,7 +180,7 @@ def verified_stage(
     corpus: "ray.data.Dataset",
     cfg: DedupConfig,
     *,
-    concurrency=(1, 8),
+    concurrency=None,
     batch_size: int = 1024,
     image_batch_size: int = 256,
     attach_method: str = "auto",
@@ -254,7 +204,6 @@ def verified_stage(
         # survivors can be hamming-pruned before the bytes attach
         ["caption", "bytes_key", "bytes_key2"] + (["phash"] if prefilter_ham else []),
         method=attach_method,
-        concurrency=concurrency,
     )
     # batch_size also sets the TASK size (blocks are bundled up to it),
     # so a fixed 4096 over a well-prefiltered pair list yields fewer
@@ -262,10 +211,8 @@ def verified_stage(
     # shrink toward ~3 tasks per actor, floor 256 to keep the
     # vectorized kernel efficient. At scale n_pairs is huge and the
     # configured cap applies unchanged.
-    survivors = with_captions.map_batches(
-        CaptionVerifier,
-        fn_constructor_args=(cfg,),
-        batch_format="pyarrow",
+    survivors = actor_map(
+        with_captions, CaptionVerifier, cfg,
         batch_size=min(batch_size, max(256, -(-n_pairs // (3 * width)))),
         concurrency=concurrency,
     ).filter(expr="caption_dup == True")
@@ -295,14 +242,11 @@ def verified_stage(
         ["bytes", "fmt"],
         method=attach_method,
         id_filter=needed_ids,
-        concurrency=concurrency,
     )
     # same pool-filling logic; survivors bound the pixel-verify rows
     verified = (
-        with_bytes.map_batches(
-            ImageVerifier,
-            fn_constructor_args=(cfg,),
-            batch_format="pyarrow",
+        actor_map(
+            with_bytes, ImageVerifier, cfg,
             batch_size=min(image_batch_size, max(64, -(-n_survivors // (3 * width)))),
             concurrency=concurrency,
         )
@@ -337,8 +281,8 @@ def dedup_pipeline(
     corpus: "ray.data.Dataset",
     cfg: Optional[DedupConfig] = None,
     *,
-    signature_concurrency=(1, 8),
-    verify_concurrency=(1, 8),
+    signature_concurrency=None,
+    verify_concurrency=None,
     verify_batch_size: int = 1024,
     image_batch_size: int = 256,
     attach_method: str = "auto",
@@ -350,7 +294,6 @@ def dedup_pipeline(
     a pair, and a stage-metrics dict.
     """
     cfg = cfg or DedupConfig()
-    check_ray_can_run()
     metrics: dict = {"config": cfg.__dict__ | {"weights": cfg.weights.__dict__}}
     t0 = time.perf_counter()
 

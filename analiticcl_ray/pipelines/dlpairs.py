@@ -48,6 +48,7 @@ from ..functions.kernels import (
     resolve_max_distance,
     same_case,
 )
+from ..stages.pools import actor_map
 
 _LD_ONLY = Weights(ld=1.0, lcs=0.0, prefix=0.0, suffix=0.0, case=0.0)
 
@@ -165,12 +166,7 @@ def dl_pairs(
     cand = dedup_pairs(
         cooccurrence_pairs(rows, "variant_key", "token", cap=bucket_cap)
     )
-    return cand.map_batches(
-        _DLVerifier,
-        fn_constructor_args=(max_dist,),
-        batch_format="pyarrow",
-        concurrency=(1, 8),
-    )
+    return actor_map(cand, _DLVerifier, max_dist)
 
 
 def variants_dl(
@@ -331,9 +327,7 @@ def variants_dl(
                 }
             )
 
-    scored = cand.map_batches(
-        _Scorer, batch_format="pyarrow", concurrency=(1, 4),
-    )
+    scored = actor_map(cand, _Scorer)
 
     # attach candidate freq: one-sided lookup against the (bounded,
     # vocab_top-row) lexicon as a zero-copy Arrow broadcast — the
@@ -356,9 +350,7 @@ def variants_dl(
             idx = pc.index_in(batch["candidate"], value_set=self.ids)
             return batch.append_column("freq", self.table["freq"].take(idx))
 
-    return scored.map_batches(
-        _AttachFreq, batch_format="pyarrow", concurrency=(1, 4)
-    )
+    return actor_map(scored, _AttachFreq)
 
 
 def variants_scored(

@@ -102,7 +102,6 @@ def learn_variants_ds(
     lexicon: Lexicon,
     cfg: Optional[SearchConfig] = None,
     iterations: int = 2,
-    concurrency=(1, 8),
 ) -> tuple[Lexicon, "ray.data.Dataset", list[dict]]:
     """Returns (updated lexicon, reverse-variants Dataset, per-iteration
     stats). ``inputs`` needs an ``input`` string column (+ optional
@@ -130,9 +129,7 @@ def learn_variants_ds(
     )
 
     for it in range(iterations):
-        results = find_variants_ds(
-            distinct, lexicon, cfg, concurrency=concurrency
-        )
+        results = find_variants_ds(distinct, lexicon, cfg)
 
         def _triples():
             for b in results.iter_batches(

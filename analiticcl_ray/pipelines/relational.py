@@ -31,6 +31,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..stages.pools import actor_map
+
 
 
 def _cents(x: np.ndarray) -> np.ndarray:
@@ -185,7 +187,6 @@ def revenue_by_nation(
     orders: "ray.data.Dataset",
     customer: pa.Table,
     nation: pa.Table,
-    concurrency=(1, 8),
 ) -> "ray.data.Dataset":
     """Revenue rollup by customer nation: orders ⋈ customer ⋈ nation,
     dims broadcast (never shuffled), fact streamed, per-batch combiner
@@ -207,12 +208,9 @@ def revenue_by_nation(
     # |nation| rows per block leave the attach stage; repartition(1)
     # merge (see pricing_summary) — constant-sized, never a bottleneck
     return (
-        orders.select_columns(["o_custkey", "o_totalprice"])
-        .map_batches(
-            _NationAttach,
-            fn_constructor_args=(cust_ref, nation_ref),
-            batch_format="pyarrow",
-            concurrency=concurrency,
+        actor_map(
+            orders.select_columns(["o_custkey", "o_totalprice"]),
+            _NationAttach, cust_ref, nation_ref,
         )
         .repartition(1)
         .map_batches(_merge, batch_format="pyarrow", batch_size=None)
@@ -273,7 +271,6 @@ def shipping_priority(
     cutoff: str = "1995-03-15",
     k: int = 10,
     n_cogroups: int | None = None,
-    concurrency=(1, 8),
 ) -> "ray.data.Dataset":
     """TPC-H Q3-shaped shipping priority: top-``k`` unshipped orders of
     one market segment by outstanding revenue — the BIG-BIG join this
@@ -339,13 +336,9 @@ def shipping_priority(
         ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"]
     ).map_batches(_line_partial, batch_format="pyarrow")
 
-    order_side = orders.select_columns(
-        ["o_orderkey", "o_custkey", "o_orderdate", "o_orderpriority"]
-    ).map_batches(
-        _SegmentOrders,
-        fn_constructor_args=(keys_ref, cut),
-        batch_format="pyarrow",
-        concurrency=concurrency,
+    order_side = actor_map(
+        orders.select_columns(["o_orderkey", "o_custkey", "o_orderdate", "o_orderpriority"]),
+        _SegmentOrders, keys_ref, cut,
     )
 
     def _align(t: pa.Table) -> pa.Table:
@@ -468,7 +461,6 @@ def local_supplier_volume(
     date_lo: str = "1995-01-01",
     date_hi: str = "1997-01-01",
     n_cogroups: int | None = None,
-    concurrency=(1, 8),
 ) -> "ray.data.Dataset":
     """TPC-H Q5-shaped local supplier volume: per nation of one region,
     revenue from lineitems whose SUPPLIER and ordering CUSTOMER share
@@ -512,21 +504,13 @@ def local_supplier_volume(
     cust_ref = ray.put(_lut(customer, "c_custkey", "c_nationkey"))
     supp_ref = ray.put(_lut(supplier, "s_suppkey", "s_nationkey"))
 
-    order_side = orders.select_columns(
-        ["o_orderkey", "o_custkey", "o_orderdate"]
-    ).map_batches(
-        _OrderNationSide,
-        fn_constructor_args=(cust_ref, lo, hi),
-        batch_format="pyarrow",
-        concurrency=concurrency,
+    order_side = actor_map(
+        orders.select_columns(["o_orderkey", "o_custkey", "o_orderdate"]),
+        _OrderNationSide, cust_ref, lo, hi,
     )
-    line_side = lineitem.select_columns(
-        ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"]
-    ).map_batches(
-        _LineSupplierSide,
-        fn_constructor_args=(supp_ref,),
-        batch_format="pyarrow",
-        concurrency=concurrency,
+    line_side = actor_map(
+        lineitem.select_columns(["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"]),
+        _LineSupplierSide, supp_ref,
     )
 
     both = order_side.map_batches(
@@ -608,7 +592,6 @@ def promo_revenue(
     date_lo: str = "1995-09-01",
     date_hi: str = "1995-10-01",
     promo_type: str = "PROMO",
-    concurrency=(1, 8),
 ) -> "ray.data.Dataset":
     """TPC-H Q14-shaped promotion effect: the share of one month's
     revenue coming from promo parts. part broadcasts as a sorted
@@ -640,14 +623,9 @@ def promo_revenue(
         return _pa_clean(out)
 
     return (
-        lineitem.select_columns(
-            ["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"]
-        )
-        .map_batches(
-            _PromoAttach,
-            fn_constructor_args=(part_ref, lo, hi),
-            batch_format="pyarrow",
-            concurrency=concurrency,
+        actor_map(
+            lineitem.select_columns(["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"]),
+            _PromoAttach, part_ref, lo, hi,
         )
         .repartition(1)
         .map_batches(_final, batch_format="pandas", batch_size=None)

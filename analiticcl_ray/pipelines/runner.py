@@ -40,9 +40,6 @@ import ray.data
 
 from ..config import DedupConfig
 
-#: actor-pool size range (min, max) of every stage's pools
-POOL = (1, 4)
-
 
 def _config_hash(cfg: DedupConfig) -> str:
     d = cfg.__dict__ | {"weights": cfg.weights.__dict__}
@@ -106,7 +103,6 @@ def run_dedup_job(
     from . import dedup
 
     cfg = cfg or DedupConfig()
-    dedup.check_ray_can_run()
     cfg_hash = _config_hash(cfg)
     files = _input_files(corpus_parquet)
     input_hash = _input_fingerprint(files)
@@ -167,7 +163,7 @@ def run_dedup_job(
         frags = ray.data.from_items(
             [{"file": fp, "rg": rg, "shard": k} for k in todo for fp, rg in shard_frags[k]]
         ).map_batches(_read_fragments, batch_format="pyarrow", batch_size=1)
-        sigs, stats = dedup.signatures_stage(frags, cfg, POOL, carry_cols=("shard",))
+        sigs, stats = dedup.signatures_stage(frags, cfg, carry_cols=("shard",))
         rows = stats["rows"]
         tmp = sig_root + ".tmp"
         shutil.rmtree(tmp, ignore_errors=True)
@@ -195,9 +191,9 @@ def run_dedup_job(
         return ray.data.read_parquet(os.path.join(out_dir, stage))
 
     steps = [
-        ("pairs", "pairs", lambda: dedup.pairs_stage(sigs, cfg, POOL)),
+        ("pairs", "pairs", lambda: dedup.pairs_stage(sigs, cfg)),
         ("verified", "verify", lambda: dedup.verified_stage(
-            _read("pairs").materialize(), sigs, corpus, cfg, concurrency=POOL)),
+            _read("pairs").materialize(), sigs, corpus, cfg)),
         ("clusters", "cluster", lambda: dedup.clusters_stage(_read("verified"))),
     ]
     for stage, verb, run in steps:

@@ -49,6 +49,7 @@ import ray
 import ray.data
 
 from ..config import SearchConfig
+from ..stages.pools import actor_map
 from .variants import Lexicon, VariantFinder
 
 TRANSITION_SMOOTHING_LOGPROB = -13.815510557964274  # src/search.rs:4
@@ -778,8 +779,6 @@ def find_all_matches_formatted_ds(
     lm: Optional[BigramLM] = None,
     freq_weight: float = 0.0,
     output_lexmatch: bool = False,
-    concurrency=(1, 8),
-    batch_size: int = 256,
     context_rules=None,
     unicode_offsets: bool = True,
 ) -> "ray.data.Dataset":
@@ -789,19 +788,11 @@ def find_all_matches_formatted_ds(
     lex_ref = ray.put(lexicon)
     lm_ref = ray.put(lm) if lm is not None else None
     cr_ref = ray.put(context_rules) if context_rules is not None else None
-    return lines.map_batches(
-        FormattedSearchActor,
-        fn_constructor_args=(
-            lex_ref, cfg, max_ngram, lm_ref, None, cr_ref, unicode_offsets
-        ),
-        fn_constructor_kwargs={
-            "fmt": fmt,
-            "freq_weight": freq_weight,
-            "output_lexmatch": output_lexmatch,
-        },
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+    return actor_map(
+        lines, FormattedSearchActor,
+        lex_ref, cfg, max_ngram, lm_ref, None, cr_ref, unicode_offsets,
+        ctor_kwargs={"fmt": fmt, "freq_weight": freq_weight, "output_lexmatch": output_lexmatch},
+        batch_size=256,
     )
 
 
@@ -811,8 +802,6 @@ def find_all_matches_ds(
     cfg: Optional[SearchConfig] = None,
     max_ngram: int = 1,
     lm: Optional[BigramLM] = None,
-    concurrency=(1, 8),
-    batch_size: int = 256,
     context_rules=None,
     unicode_offsets: bool = True,
 ) -> "ray.data.Dataset":
@@ -822,12 +811,8 @@ def find_all_matches_ds(
     lex_ref = ray.put(lexicon)
     lm_ref = ray.put(lm) if lm is not None else None
     cr_ref = ray.put(context_rules) if context_rules is not None else None
-    return lines.map_batches(
-        SearchActor,
-        fn_constructor_args=(
-            lex_ref, cfg, max_ngram, lm_ref, None, cr_ref, unicode_offsets
-        ),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+    return actor_map(
+        lines, SearchActor,
+        lex_ref, cfg, max_ngram, lm_ref, None, cr_ref, unicode_offsets,
+        batch_size=256,
     )

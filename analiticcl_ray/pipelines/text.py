@@ -28,6 +28,7 @@ import ray.data
 from ..config import DedupConfig
 from ..functions.alphabet import Normalizer, simple_alphabet, shingle_keys_from_norm
 from ..stages.lsh import bucket_by_keys
+from ..stages.pools import actor_map
 from ..stages.signatures import splitmix64
 
 _WS = re.compile(r"\s+")
@@ -195,7 +196,6 @@ def exact_dup_clusters(docs: "ray.data.Dataset", bucket_cap: int = 1_000_000) ->
         ["text"],
         method="auto",
         id_col="doc_id",
-        concurrency=(1, 4),
     )
 
     def _verify(batch: pa.Table) -> pa.Table:
@@ -504,11 +504,7 @@ def doc_label_join(
             # inner-join semantics: drop rows with no embedding
             return out.filter(pc.is_valid(out["label"]))
 
-    return (
-        doc_stats(docs)
-        .select_columns(["doc_id", "n_tokens"])
-        .map_batches(_Attach, batch_format="pyarrow", concurrency=(1, 4))
-    )
+    return actor_map(doc_stats(docs).select_columns(["doc_id", "n_tokens"]), _Attach)
 
 
 def _merge_token_counts(group: pd.DataFrame) -> pa.Table:
@@ -896,8 +892,7 @@ def lang_confusion(docs: "ray.data.Dataset") -> "ray.data.Dataset":
         return _pa_clean(out)
 
     return (
-        docs.select_columns(["doc_id", "text", "lang"])
-        .map_batches(_Confusion, batch_format="pyarrow", concurrency=(1, 4))
+        actor_map(docs.select_columns(["doc_id", "text", "lang"]), _Confusion)
         .repartition(1)
         .map_batches(_merge, batch_format="pyarrow", batch_size=None)
     )
@@ -1040,22 +1035,13 @@ def _verify_jaccard(
     docs = docs.select_columns(["doc_id", "text"])
 
     def _attach(side: "ray.data.Dataset", cols: list[str]) -> "ray.data.Dataset":
-        # min-1 actor pools: the pipeline already runs a signature pool;
-        # pools reserving min(actors)·num_cpus >= total CPUs starve the
-        # task operators (read/sort) and deadlock the streaming executor
         return attach_pair_sides(
-            pairs, side, cols, method=attach_method, id_filter=_id_filter,
-            id_col="doc_id", concurrency=(1, 8),
+            pairs, side, cols, method=attach_method, id_filter=_id_filter, id_col="doc_id"
         )
 
     gram_table = ray.get(gram_ref) if gram_ref is not None else None
     if gram_table is None or len(gram_table) > BITSET_VOCAB_LIMIT:
-        return _attach(docs, ["text"]).map_batches(
-            _JaccardVerifier,
-            fn_constructor_args=(n, threshold),
-            batch_format="pyarrow",
-            concurrency=(1, 8),
-        )
+        return actor_map(_attach(docs, ["text"]), _JaccardVerifier, n, threshold)
 
     words = (len(gram_table) + 63) // 64
     grams_ref = ray.put(gram_table["gram"].combine_chunks())
@@ -1486,10 +1472,7 @@ def minhash_dedup_pairs(
     # index can never band differently from the symmetric op.
     cfg = _minhash_cfg(cfg)
 
-    sig = docs.select_columns(["doc_id", "text"]).map_batches(
-        DocMinHash, fn_constructor_args=(cfg, n), batch_format="pyarrow",
-        concurrency=(1, 4),
-    )
+    sig = actor_map(docs.select_columns(["doc_id", "text"]), DocMinHash, cfg, n)
 
     # size-ratio prune at pair emission: J >= t forces gram-set sizes
     # within ratio t (min >= t*max), so pairs outside it are dropped
@@ -1543,12 +1526,7 @@ def minhash_signatures(
     the whole corpus. Same DocMinHash actor pool the symmetric op uses,
     so a persisted index and a fresh signature of the same text are
     bit-identical."""
-    return docs.select_columns(["doc_id", "text"]).map_batches(
-        DocMinHash,
-        fn_constructor_args=(_minhash_cfg(cfg), n),
-        batch_format="pyarrow",
-        concurrency=(1, 4),
-    )
+    return actor_map(docs.select_columns(["doc_id", "text"]), DocMinHash, _minhash_cfg(cfg), n)
 
 
 #: the local verify tail of ``incremental_minhash_dedup_pairs`` pulls
@@ -1850,10 +1828,7 @@ class _SimHasher:
 
 
 def simhash_fingerprints(docs: "ray.data.Dataset", n: int = 3) -> "ray.data.Dataset":
-    return docs.select_columns(["doc_id", "text"]).map_batches(
-        _SimHasher, fn_constructor_args=(n,), batch_format="pyarrow",
-        concurrency=(1, 4),
-    )
+    return actor_map(docs.select_columns(["doc_id", "text"]), _SimHasher, n)
 
 
 def simhash_dup_pairs(
@@ -2049,9 +2024,7 @@ def testinput(docs: "ray.data.Dataset") -> "ray.data.Dataset":
 
 
 def lang_id(docs: "ray.data.Dataset") -> "ray.data.Dataset":
-    return docs.select_columns(["doc_id", "text"]).map_batches(
-        LangId, batch_format="pyarrow", concurrency=(1, 4)
-    )
+    return actor_map(docs.select_columns(["doc_id", "text"]), LangId)
 
 
 def lang_distribution(docs: "ray.data.Dataset") -> "ray.data.Dataset":
@@ -2957,7 +2930,6 @@ class _LMScorer:
 def lm_perplexity(
     docs: "ray.data.Dataset",
     train_mod: int | None = None,
-    concurrency=(1, 8),
 ) -> "ray.data.Dataset":
     """Per-document bigram-LM perplexity — the CCNet-style LM quality
     signal as a first-class distributed op, with the reference's exact
@@ -2991,13 +2963,7 @@ def lm_perplexity(
         else pa.table({"key": pa.array([], pa.string()), "cnt": pa.array([], pa.int64())})
     )
     counts_ref = ray.put(counts)
-    return src.map_batches(
-        _LMScorer,
-        fn_constructor_args=(counts_ref,),
-        batch_format="pyarrow",
-        batch_size=4096,
-        concurrency=concurrency,
-    )
+    return actor_map(src, _LMScorer, counts_ref, batch_size=4096)
 
 
 # ---------------------------------------------------------------------
@@ -3112,20 +3078,15 @@ def shared_span_pairs(
     flagged via the ``capped`` pair column upstream — raise the cap if
     exactness across mega-clusters matters more than skew safety."""
     from ..stages.lsh import cooccurrence_pairs, dedup_pairs
-    from .dedup import check_ray_can_run
 
     if not (1 <= window <= min_span):
         raise ValueError("need 1 <= window <= min_span")
     # three actor pools (fingerprints, attach, verify) hold a CPU each and
     # the read/shuffle tasks need one more: measured to hang at
     # num_cpus=3 and to finish at 4
-    check_ray_can_run((_SpanFingerprints, _SharedSpanVerifier), min_cpus=4)
-    kgram = min_span - window + 1
-    band_rows = docs.select_columns(["doc_id", "text"]).map_batches(
-        _SpanFingerprints,
-        fn_constructor_args=(kgram, window),
-        batch_format="pyarrow",
-        concurrency=(1, 4),
+    band_rows = actor_map(
+        docs.select_columns(["doc_id", "text"]), _SpanFingerprints,
+        min_span - window + 1, window, min_cpus=4,
     )
     cand = dedup_pairs(
         cooccurrence_pairs(
@@ -3143,14 +3104,8 @@ def shared_span_pairs(
         ["text"],
         method=attach_method,
         id_col="doc_id",
-        concurrency=(1, 8),
     )
-    return attached.map_batches(
-        _SharedSpanVerifier,
-        fn_constructor_args=(min_span,),
-        batch_format="pyarrow",
-        concurrency=(1, 8),
-    )
+    return actor_map(attached, _SharedSpanVerifier, min_span, min_cpus=4)
 
 
 # ---------------------------------------------------------------------
@@ -3331,9 +3286,7 @@ def pmi_scores(
             out = df[["w1", "w2", "cnt"]].assign(pmi=pmi)
             return _pa_clean(out)
 
-    return pairs.map_batches(
-        _Score, batch_format="pyarrow", concurrency=(1, 4),
-    )
+    return actor_map(pairs, _Score)
 
 
 # ---------------------------------------------------------------------

@@ -59,6 +59,7 @@ from ..functions.kernels import (
     same_case,
     truncate_results,
 )
+from ..stages.pools import actor_map
 
 # vocab type bitflags, src/vocab.rs:31-49
 INDEXED = 1
@@ -371,16 +372,8 @@ def find_variants_ds(
     cfg: SearchConfig | None = None,
     alphabet: Alphabet | None = None,
     confusables: list[Confusable] | None = None,
-    concurrency=(1, 8),
-    batch_size: int = 1024,
 ) -> "ray.data.Dataset":
     """Distributed find_variants: query Dataset (column ``input``) ->
     result Dataset (input, rank, text, dist_score, freq_score, via)."""
     lex_ref = ray.put(lexicon)
-    return queries.map_batches(
-        VariantFinder,
-        fn_constructor_args=(lex_ref, cfg, alphabet, confusables),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return actor_map(queries, VariantFinder, lex_ref, cfg, alphabet, confusables, batch_size=1024)

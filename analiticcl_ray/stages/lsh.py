@@ -200,14 +200,6 @@ def widen_blocks(
     return ds
 
 
-def pool_width(concurrency) -> int:
-    """Max actor count of a ``map_batches`` concurrency spec
-    ((min, max) tuple or plain int)."""
-    if isinstance(concurrency, tuple):
-        return int(concurrency[1])
-    return int(concurrency)
-
-
 def bucket_by_keys(
     batch: pa.Table, key_cols: list[str], n_buckets: int
 ) -> pa.Table:
@@ -302,32 +294,6 @@ def emit_bucket_pairs_attr(
     if return_attrs:
         out += (np.concatenate(a_srcs), np.concatenate(a_dsts))
     return out + (capped,)
-
-
-def grouped_by_cogroup(ds: "ray.data.Dataset", key: str, n_cogroups: int):
-    """groupby on an integer cogroup key, optionally via HASH shuffle
-    (``num_partitions``): hash partitioning streams blocks to
-    aggregators with no global sample+sort barrier — at cluster scale
-    the sort's sampling pass alone re-reads every block. Partition
-    count tracks the cogroup count (each partition then holds ~4
-    cogroup frames) with a floor for small inputs.
-
-    ``ANALITICCL_HASH_SHUFFLE=0`` forces the sort-based groupby (the
-    default): measured on this Ray (2.49) in local mode, the
-    hash-shuffle aggregator actors REGRESS the 1M-row candidate stage
-    at 32 CPUs (~+80% wall vs sort) — they compete with the map actors
-    for CPU slots. The flag exists so a real multi-node deployment can
-    flip it where the sort's global sampling barrier dominates
-    instead."""
-    import os
-
-    if os.environ.get("ANALITICCL_HASH_SHUFFLE", "0") == "1":
-        npart = max(32, n_cogroups // 4)
-        try:
-            return ds.groupby(key, num_partitions=npart)
-        except TypeError:  # older Ray: sort-based groupby only
-            pass
-    return ds.groupby(key)
 
 
 def emit_pairs_grouped(
@@ -659,9 +625,7 @@ def cooccurrence_pairs_multi(
         cols["capped"] = pa.array(np.concatenate(parts_c).astype(bool), pa.bool_())
         return pa.table(cols)
 
-    pairs = grouped_by_cogroup(rows, "cogroup", n_cogroups).map_groups(
-        _pairs, batch_format="pandas"
-    )
+    pairs = rows.groupby("cogroup").map_groups(_pairs, batch_format="pandas")
     if keep_sentinels:
         return pairs
     if stats is not None:
@@ -1004,6 +968,8 @@ def dedup_pairs(
             out[cols], preserve_index=False, schema=schema
         ).replace_schema_metadata(None)
 
-    return grouped_by_cogroup(
-        pairs.map_batches(_local, batch_format="pyarrow"), "cogroup", n_cogroups
-    ).map_groups(_dedup, batch_format="pandas")
+    return (
+        pairs.map_batches(_local, batch_format="pyarrow")
+        .groupby("cogroup")
+        .map_groups(_dedup, batch_format="pandas")
+    )

@@ -2,10 +2,10 @@
 
 The corpus treats images (and, by extension, audio/video) as opaque
 ``binary`` columns with typed metadata (w/h/fmt) — the input_hint
-schema. Each stage here is a callable CLASS for
-``map_batches(Cls, concurrency=N)``: decode state (DCT matrix, pixel
-cache) lives in ``__init__`` once per actor; ``__call__`` transforms
-one Arrow batch. Bytes stay out of every shuffle — these are straight
+schema. Each stage here is a callable CLASS for the actor-pool launcher
+(``stages/pools.actor_map``): decode state (DCT matrix, pixel cache)
+lives in ``__init__`` once per actor; ``__call__`` transforms one Arrow
+batch. Bytes stay out of every shuffle — these are straight
 per-row map stages placed BEFORE any wide operation.
 
 Real vs stubbed (task brief: make the plumbing real, stub missing
@@ -22,9 +22,9 @@ codecs honestly):
   exercise the full Ray-side plumbing — schema, actor signature,
   per-frame explode — on real and really-degraded bytes.
 
-Batch-size guidance: binary payloads are wide — pair these stages with
-small ``batch_size`` (64-256) so batch × concurrency fits the worker
-heap (SURVEY.md §4.2).
+Batch sizes: binary payloads are wide — each stage runs with a small
+``batch_size`` (16-256) so batch × pool width fits the worker heap
+(SURVEY.md §4.2).
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from ..image.codec import (
     to_gray,
     _resize_mean,
 )
+from .pools import actor_map
 
 
 class ImageResizer:
@@ -168,12 +169,9 @@ class ImageQuality:
         )
 
 
-def image_quality_signals(
-    corpus: "ray.data.Dataset", concurrency=(1, 8), batch_size: int = 128
-) -> "ray.data.Dataset":
-    return corpus.select_columns(["image_id", "bytes", "fmt"]).map_batches(
-        ImageQuality, batch_format="pyarrow",
-        concurrency=concurrency, batch_size=batch_size,
+def image_quality_signals(corpus: "ray.data.Dataset") -> "ray.data.Dataset":
+    return actor_map(
+        corpus.select_columns(["image_id", "bytes", "fmt"]), ImageQuality, batch_size=128
     )
 
 
@@ -182,14 +180,12 @@ def image_quality_filter(
     min_sharpness: float = 1.0,
     min_entropy: float = 1.0,
     max_saturated: float = 0.5,
-    concurrency=(1, 8),
-    batch_size: int = 128,
 ) -> "ray.data.Dataset":
     """Keep-list of image ids passing the quality gates — the decision
     stage a training-data pipeline runs before spending tokens on a
     caption model. Thresholds follow the text quality_filter shape:
     conservative defaults, every gate a parameter."""
-    sig = image_quality_signals(corpus, concurrency, batch_size)
+    sig = image_quality_signals(corpus)
 
     def _keep(t: pa.Table) -> pa.Table:
         m = (
@@ -344,33 +340,23 @@ class FrameSampler:
         )
 
 
-def resize_images(
-    corpus: "ray.data.Dataset", size: int = 64, concurrency=(1, 8),
-    batch_size: int = 128,
-) -> "ray.data.Dataset":
-    return corpus.select_columns(["image_id", "bytes", "fmt"]).map_batches(
-        ImageResizer, fn_constructor_args=(size,), batch_format="pyarrow",
-        concurrency=concurrency, batch_size=batch_size,
+def resize_images(corpus: "ray.data.Dataset", size: int = 64) -> "ray.data.Dataset":
+    return actor_map(
+        corpus.select_columns(["image_id", "bytes", "fmt"]), ImageResizer, size, batch_size=128
     )
 
 
-def image_features(
-    corpus: "ray.data.Dataset", concurrency=(1, 8), batch_size: int = 128
-) -> "ray.data.Dataset":
-    return corpus.select_columns(["image_id", "bytes", "fmt"]).map_batches(
-        ImageFeatures, batch_format="pyarrow",
-        concurrency=concurrency, batch_size=batch_size,
+def image_features(corpus: "ray.data.Dataset") -> "ray.data.Dataset":
+    return actor_map(
+        corpus.select_columns(["image_id", "bytes", "fmt"]), ImageFeatures, batch_size=128
     )
 
 
-def image_hashes(
-    corpus: "ray.data.Dataset", concurrency=(1, 8), batch_size: int = 128
-) -> "ray.data.Dataset":
+def image_hashes(corpus: "ray.data.Dataset") -> "ray.data.Dataset":
     """(image_id, phash, dhash, ahash) per image — decode once per row
     in an actor pool, bytes never leave the map stage."""
-    return corpus.select_columns(["image_id", "bytes", "fmt"]).map_batches(
-        ImageHashes, batch_format="pyarrow",
-        concurrency=concurrency, batch_size=batch_size,
+    return actor_map(
+        corpus.select_columns(["image_id", "bytes", "fmt"]), ImageHashes, batch_size=128
     )
 
 
@@ -521,13 +507,9 @@ def image_hash_dup_pairs(
     )
 
 
-def sample_frames(
-    videos: "ray.data.Dataset", stride: int = 2, concurrency=(1, 4),
-    batch_size: int = 16,
-) -> "ray.data.Dataset":
-    return videos.select_columns(["video_id", "bytes", "fmt"]).map_batches(
-        FrameSampler, fn_constructor_args=(stride,), batch_format="pyarrow",
-        concurrency=concurrency, batch_size=batch_size,
+def sample_frames(videos: "ray.data.Dataset", stride: int = 2) -> "ray.data.Dataset":
+    return actor_map(
+        videos.select_columns(["video_id", "bytes", "fmt"]), FrameSampler, stride, batch_size=16
     )
 
 
@@ -563,14 +545,11 @@ class VideoFrameHashes:
         )
 
 
-def video_frame_hashes(
-    videos: "ray.data.Dataset", concurrency=(1, 8), batch_size: int = 32
-) -> "ray.data.Dataset":
+def video_frame_hashes(videos: "ray.data.Dataset") -> "ray.data.Dataset":
     """(video_id, frame_idx, dhash) per frame — decode once per video
     in an actor pool, bytes never leave the map stage."""
-    return videos.select_columns(["video_id", "bytes", "fmt"]).map_batches(
-        VideoFrameHashes, batch_format="pyarrow",
-        concurrency=concurrency, batch_size=batch_size,
+    return actor_map(
+        videos.select_columns(["video_id", "bytes", "fmt"]), VideoFrameHashes, batch_size=32
     )
 
 
@@ -824,13 +803,10 @@ class AudioFeatures:
         )
 
 
-def audio_features(
-    corpus: "ray.data.Dataset", concurrency=(1, 8), batch_size: int = 256
-) -> "ray.data.Dataset":
+def audio_features(corpus: "ray.data.Dataset") -> "ray.data.Dataset":
     """(audio_id, duration_s, rms, zcr, centroid_hz, fp64) per clip."""
-    return corpus.select_columns(["audio_id", "bytes", "fmt"]).map_batches(
-        AudioFeatures, batch_format="pyarrow",
-        concurrency=concurrency, batch_size=batch_size,
+    return actor_map(
+        corpus.select_columns(["audio_id", "bytes", "fmt"]), AudioFeatures, batch_size=256
     )
 
 
@@ -861,12 +837,9 @@ class AudioQuality:
         )
 
 
-def audio_quality_signals(
-    clips: "ray.data.Dataset", concurrency=(1, 8), batch_size: int = 256
-) -> "ray.data.Dataset":
-    return clips.select_columns(["audio_id", "bytes", "fmt"]).map_batches(
-        AudioQuality, batch_format="pyarrow",
-        concurrency=concurrency, batch_size=batch_size,
+def audio_quality_signals(clips: "ray.data.Dataset") -> "ray.data.Dataset":
+    return actor_map(
+        clips.select_columns(["audio_id", "bytes", "fmt"]), AudioQuality, batch_size=256
     )
 
 
@@ -874,12 +847,10 @@ def audio_quality_filter(
     clips: "ray.data.Dataset",
     max_clipping: float = 0.01,
     max_silence: float = 0.9,
-    concurrency=(1, 8),
-    batch_size: int = 256,
 ) -> "ray.data.Dataset":
     """Keep-list of audio ids passing the quality gates (hard-clipped
     or mostly-silent clips dropped)."""
-    sig = audio_quality_signals(clips, concurrency, batch_size)
+    sig = audio_quality_signals(clips)
 
     def _keep(t: pa.Table) -> pa.Table:
         m = (

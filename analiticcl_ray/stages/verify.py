@@ -23,7 +23,7 @@ Side-data attachment (SURVEY.md J-section): the corpus' slim columns
   at 1e12 rows do not — use cogroup there; bytes for *surviving* pairs
   usually do), or
 - ``cogroup``: a two-stage bucket-hash join (pair-side stubs and corpus
-  rows co-bucketed by id hash, per-bucket pandas merge, then sides
+  rows co-bucketed by id hash, per-bucket Arrow lookup, then sides
   rejoined by pair hash) — the 1e12-scale path; only the slim
   projection ever enters a shuffle. Verified result-identical to
   broadcast (tests/test_stages_ray.py).
@@ -34,7 +34,6 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray
@@ -44,6 +43,7 @@ from ..config import DedupConfig
 from ..functions.alphabet import Normalizer, simple_alphabet
 from ..functions.kernels import resolve_max_distance
 from ..functions.verify_kernel import caption_pair_score, image_pair_dup
+from .pools import actor_map
 
 
 # --------------------------------------------------------------------
@@ -136,7 +136,6 @@ def attach_pair_sides(
     value_cols: list[str],
     method: str = "broadcast",
     id_filter: Optional[Iterable[str]] = None,
-    concurrency=(1, 8),
     id_col: str = "image_id",
 ) -> "ray.data.Dataset":
     """Attach corpus columns to both sides of a pairs dataset.
@@ -186,11 +185,8 @@ def attach_pair_sides(
             )
     if method == "broadcast":
         ref = broadcast_lookup(src, value_cols, id_col=id_col)
-        return pairs.map_batches(
-            _AttachFromBroadcast,
-            fn_constructor_args=(ref, value_cols, ("src", "dst"), id_col),
-            batch_format="pyarrow",
-            concurrency=concurrency,
+        return actor_map(
+            pairs, _AttachFromBroadcast, ref, value_cols, ("src", "dst"), id_col
         )
     if method == "cogroup":
         return _attach_cogroup(pairs, src, value_cols, id_col=id_col)
@@ -205,16 +201,16 @@ def _attach_cogroup(
     id_col: str = "image_id",
 ) -> "ray.data.Dataset":
     """Hash-partitioned attach (the 1e12-scale path): two bucket-join
-    shuffles over pair-sized data, C-speed pandas merges inside each
+    shuffles over pair-sized data, C-speed Arrow lookups inside each
     bucket, and only the slim (id, value) projection of the corpus ever
     enters a shuffle.
 
     Stage A: pairs explode into per-side stub rows; stubs and corpus
     rows land in the same integer bucket (deterministic pandas hash of
-    image_id) and a per-bucket ``pd.merge`` attaches the values.
-    Stage B: the two sides of each pair meet again in a bucket keyed by
-    the pair hash and merge back into one row."""
-    import pandas as pd
+    image_id) and a per-bucket ``index_in`` + ``take`` attaches the
+    values. Stage B: the two sides of each pair meet again in a bucket
+    keyed by the pair hash and are put back into one row."""
+    import pyarrow.compute as pc
 
     if id_col != "image_id":
         # internal canonical name; callers with other id columns
@@ -230,7 +226,7 @@ def _attach_cogroup(
 
     if n_buckets is None:
         # scale bucket count with the corpus side (each bucket is one
-        # pandas merge): parquet metadata makes count() cheap; lazy
+        # Arrow lookup): parquet metadata makes count() cheap; lazy
         # pipelines without cheap counts keep the floor
         from .lsh import adaptive_cogroups
 
@@ -289,31 +285,28 @@ def _attach_cogroup(
 
     vcols = [f"v_{c}" for c in value_cols]
 
-    def _merge_values(group: pd.DataFrame) -> pd.DataFrame:
-        corp = group[group["is_corpus"]][["image_id", *vcols]]
-        stubs = group[~group["is_corpus"]].drop(columns=vcols + ["is_corpus", "bucket"])
-        if stubs.empty:
-            return stubs.iloc[0:0]
-        out = stubs.merge(corp, on="image_id", how="left", indicator=True)
-        if (out["_merge"] == "left_only").any():
+    # both joins stay in Arrow (pc.index_in + take, as the broadcast path
+    # attaches): a pandas frame of these groups holds nulls beside every
+    # value, which turns int64 columns into float64 and drops the low
+    # bits of the 64-bit byte keys and phashes
+    def _merge_values(group: pa.Table) -> pa.Table:
+        corp = group.filter(group["is_corpus"])
+        stubs = group.filter(pc.invert(group["is_corpus"])).drop(["is_corpus", "bucket"])
+        idx = pc.index_in(stubs["image_id"], value_set=corp["image_id"])
+        if idx.null_count:
             # same missing-id policy as the broadcast path's KeyError:
-            # a silent null-fill here would flow NaN/INT64_MIN garbage
-            # into downstream kernels only at >2M-row scale, turning a
-            # loud small-scale crash into silent wrong output
-            missing = sorted(
-                out.loc[out["_merge"] == "left_only", "image_id"].unique()[:10]
-            )
+            # a silent null-fill here would flow garbage into downstream
+            # kernels only at >2M-row scale, turning a loud small-scale
+            # crash into silent wrong output
+            missing = sorted(set(stubs["image_id"].filter(pc.is_null(idx)).to_pylist()))
             raise KeyError(
-                f"pair ids missing from the attach corpus (first 10): {missing}"
+                f"pair ids missing from the attach corpus (first 10): {missing[:10]}"
             )
-        return out.drop(columns=["_merge"])
+        for c in vcols:
+            stubs = stubs.set_column(stubs.schema.get_field_index(c), c, corp[c].take(idx))
+        return stubs
 
-    def _merge_values_pa(group: pd.DataFrame) -> pa.Table:
-        return pa.Table.from_pandas(
-            _merge_values(group), preserve_index=False
-        ).replace_schema_metadata(None)
-
-    attached = both.groupby("bucket").map_groups(_merge_values_pa, batch_format="pandas")
+    attached = both.groupby("bucket").map_groups(_merge_values, batch_format="pyarrow")
 
     def _pair_bucket(batch: pa.Table) -> pa.Table:
         t = bucket_by_keys(batch, ["p_src_id", "p_dst_id"], n_buckets)
@@ -321,21 +314,29 @@ def _attach_cogroup(
             ["pbucket" if c == "bucket" else c for c in t.column_names]
         )
 
-    def _reassemble(group: pd.DataFrame) -> pa.Table:
-        s0 = group[group["side"] == 0].drop(columns=["side", "pbucket", "image_id"])
-        s1 = group[group["side"] == 1][["p_src_id", "p_dst_id", *vcols]]
-        s0 = s0.rename(columns={f"v_{c}": f"src_{c}" for c in value_cols})
-        s1 = s1.rename(columns={f"v_{c}": f"dst_{c}" for c in value_cols})
-        out = s0.merge(s1, on=["p_src_id", "p_dst_id"], how="inner")
-        out = out.rename(columns={f"p_{c}": c for c in pair_cols})
-        return pa.Table.from_pandas(
-            out, preserve_index=False
-        ).replace_schema_metadata(None)
+    pair_keys = [("p_src_id", "ascending"), ("p_dst_id", "ascending")]
+
+    def _reassemble(group: pa.Table) -> pa.Table:
+        # each pair row left one stub per side in this bucket: sorted by
+        # the pair, the two sides align row for row; side 1 is taken
+        # back into side 0's order
+        s0 = group.filter(pc.equal(group["side"], 0))
+        s1 = group.filter(pc.equal(group["side"], 1))
+        order = np.empty(len(s0), dtype=np.int64)
+        order[pc.sort_indices(s0, sort_keys=pair_keys).to_numpy()] = pc.sort_indices(
+            s1, sort_keys=pair_keys
+        ).to_numpy()
+        s1 = s1.take(order)
+        return pa.table(
+            {c: s0[f"p_{c}"] for c in pair_cols}
+            | {f"src_{c}": s0[f"v_{c}"] for c in value_cols}
+            | {f"dst_{c}": s1[f"v_{c}"] for c in value_cols}
+        )
 
     return (
         attached.map_batches(_pair_bucket, batch_format="pyarrow")
         .groupby("pbucket")
-        .map_groups(_reassemble, batch_format="pandas")
+        .map_groups(_reassemble, batch_format="pyarrow")
     )
 
 

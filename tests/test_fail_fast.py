@@ -1,16 +1,19 @@
-"""The stage graph fails fast instead of hanging (both entry points share
-its head check, ``pipelines/dedup.check_ray_can_run``):
+"""Actor pools fail fast instead of hanging. Every pool starts through
+``stages/pools.actor_map``, which checks the Ray session first:
 
 - a Ray session with one CPU, where the read task would wait forever for
   the CPU the signature actor holds;
 - Ray workers that cannot import ``analiticcl_ray`` (driver started
   outside the repository, repository off ``PYTHONPATH``), where Ray would
-  restart the stage's actor pool without end.
+  restart the stage's actor pool without end. Shown on both dedup entry
+  points and on two pools outside them, ``multimodal.image_hashes`` and
+  ``text.minhash_signatures``.
 
-``text.shared_span_pairs`` runs the same check with its own stage
-classes and a floor of 4 CPUs (three actor pools at once; it hangs on 3).
+``text.shared_span_pairs`` starts its pools with a floor of 4 CPUs (three
+actor pools at once; it hangs on 3). The import probe runs once per Ray
+session and module.
 
-Each case runs in a subprocess with its own Ray session and must raise
+Each case runs in a subprocess with its own Ray session and must finish
 within ``DEADLINE_S``."""
 
 import os
@@ -75,6 +78,69 @@ _SPAN_SCRIPT = textwrap.dedent(
 )
 
 
+_OPS_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    sys.path.insert(0, {root!r})
+    import ray
+    import ray.data
+
+    from analiticcl_ray.pipelines.text import minhash_signatures
+    from analiticcl_ray.sources.corpus import generate_corpus
+    from analiticcl_ray.stages.multimodal import image_hashes
+
+    ray.init(address="local", num_cpus={cpus}, include_dashboard=False,
+             logging_level="ERROR", object_store_memory=256 << 20)
+    images = ray.data.from_arrow(generate_corpus(16, 5))
+    docs = ray.data.from_items([{{"doc_id": i, "text": "some text"}} for i in range(8)])
+    for name, job in (
+        ("image_hashes", lambda: image_hashes(images).take_all()),
+        ("minhash_signatures", lambda: minhash_signatures(docs).take_all()),
+    ):
+        try:
+            job()
+            print(name, "FINISHED")
+        except RuntimeError as e:
+            print(name, "RAISED", str(e).replace(chr(10), " "))
+    ray.shutdown()
+    """
+)
+
+
+_PROBE_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    sys.path.insert(0, {root!r})
+    import ray
+    import ray.data
+
+    from analiticcl_ray.stages import pools
+    from analiticcl_ray.stages.multimodal import image_hashes
+
+    probes = []
+    real_probe = pools._probe
+    pools._probe = lambda module: (probes.append(module), real_probe(module))
+
+    def launch():
+        image_hashes(ray.data.range(1))
+
+    def session():
+        ray.init(address="local", num_cpus={cpus}, include_dashboard=False,
+                 logging_level="ERROR", object_store_memory=256 << 20)
+
+    session()
+    launch()
+    launch()
+    print("probes_first_session", len(probes))
+    ray.shutdown()
+    session()
+    launch()
+    print("probes_after_restart", len(probes), probes[-1])
+    ray.shutdown()
+    """
+)
+
+
 def _run(
     tmp_path, cpus: int, env: dict, script_text: str = _SCRIPT,
     names: tuple = ("dedup_pipeline", "run_dedup_job"),
@@ -117,3 +183,25 @@ def test_workers_without_the_package_raise(tmp_path):
 def test_shared_span_pairs_two_cpus_raise(tmp_path):
     lines = _run(tmp_path, 2, dict(os.environ), _SPAN_SCRIPT, ("shared_span_pairs",))
     assert "RAISED" in lines[0] and "at least 4 Ray CPUs" in lines[0], lines[0]
+
+
+def test_pools_outside_the_flagship_raise(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in env.get("PYTHONPATH", "").split(os.pathsep)
+        if p and os.path.abspath(p) != ROOT
+    )
+    lines = _run(tmp_path, 2, env, _OPS_SCRIPT, ("image_hashes", "minhash_signatures"))
+    for line in lines:
+        assert "RAISED" in line and "cannot import" in line, line
+
+
+def test_probe_runs_once_per_session_and_module(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (ROOT, env.get("PYTHONPATH"))))
+    first, restarted = _run(
+        tmp_path, 2, env, _PROBE_SCRIPT,
+        ("probes_first_session", "probes_after_restart"),
+    )
+    assert first == "probes_first_session 1", first
+    assert restarted == "probes_after_restart 2 analiticcl_ray.stages.multimodal", restarted
