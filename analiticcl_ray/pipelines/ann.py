@@ -242,7 +242,7 @@ def cosine_dup_clusters(
         lambda t: pa.table({"src_id": t["a"], "dst_id": t["b"]}),
         batch_format="pyarrow",
     )
-    labels = cc_auto(edges)
+    labels, _ = cc_auto(edges)
     if labels.count() == 0:
         import ray.data as rd
 
@@ -272,9 +272,9 @@ def cosine_dup_pairs_lsh(
     then EXACT cosine verification of candidates with embeddings
     attached via ``attach_pair_sides(method="auto")`` — the size-gated
     broadcast↔cogroup switch (VERDICT r2 item 1): while the embedding
-    table fits the object store it broadcasts zero-copy; beyond
-    AUTO_BROADCAST_ROW_LIMIT rows the embeddings ride a bucket-hash
-    cogroup join sized to the candidate pairs, never a whole-table
+    table fits the driver budget (stages/driver.py) it broadcasts
+    zero-copy; past it the embeddings ride a bucket-hash cogroup join
+    sized to the candidate pairs, never a whole-table
     materialization. Recall is 1-(1-(1-θ/π)^planes)^tables per true
     pair; measured vs cosine_dup_pairs in tests.
 
@@ -386,11 +386,10 @@ def _rerank_topk(
     """Exact cosine re-rank of (query_id, cand_id) candidates:
     embeddings attached to both pair sides via
     ``attach_pair_sides(method="auto")`` (VERDICT r2 item 1 — zero-copy
-    Arrow broadcast while the table fits the object store, bucket-hash
-    cogroup join beyond AUTO_BROADCAST_ROW_LIMIT; never an
-    unconditional whole-table materialization), cosine computed per
-    batch, then a per-query top-k groupby. Shared by the LSH and IVF
-    approximate paths."""
+    Arrow broadcast while the table fits the driver budget, bucket-hash
+    cogroup join past it; never an unconditional whole-table
+    materialization), cosine computed per batch, then a per-query top-k
+    groupby. Shared by the LSH and IVF approximate paths."""
     from ..stages.verify import attach_pair_sides
 
     def _as_pairs(batch: pa.Table) -> pa.Table:

@@ -27,6 +27,7 @@ import ray.data
 
 from ..config import DedupConfig
 from ..functions.alphabet import Normalizer, simple_alphabet, shingle_keys_from_norm
+from ..stages import driver
 from ..stages.lsh import bucket_by_keys
 from ..stages.pools import actor_map
 from ..stages.signatures import splitmix64
@@ -203,7 +204,7 @@ def exact_dup_clusters(docs: "ray.data.Dataset", bucket_cap: int = 1_000_000) ->
         kept = batch.filter(eq)
         return pa.table({"src_id": kept["src_id"], "dst_id": kept["dst_id"]})
 
-    labels = cc_auto(attached.map_batches(_verify, batch_format="pyarrow"))
+    labels, _ = cc_auto(attached.map_batches(_verify, batch_format="pyarrow"))
     return _labels_as_doc_clusters(labels)
 
 
@@ -223,7 +224,7 @@ def near_dup_clusters(
         lambda t: pa.table({"src_id": t["a"], "dst_id": t["b"]}),
         batch_format="pyarrow",
     )
-    return _labels_as_doc_clusters(cc_auto(edges))
+    return _labels_as_doc_clusters(cc_auto(edges)[0])
 
 
 # ---------------------------------------------------------------------
@@ -1011,7 +1012,7 @@ def _verify_jaccard(
     threshold: float,
     attach_method: str = "auto",
     gram_ref=None,
-    _id_filter=None,
+    id_filter: bool = False,
 ) -> "ray.data.Dataset":
     """The one exact verify of candidate pairs (src_id, dst_id), in an
     actor pool. Bounded gram vocabulary (``gram_ref``, at most
@@ -1019,24 +1020,18 @@ def _verify_jaccard(
     the pair sides instead of texts (~6x lighter through the attach,
     vectorized popcount verify, zero per-pair Python). Otherwise texts
     attach and the frozenset engine verifies. Either way the attach is
-    the broadcast/cogroup auto machinery — no driver materialization.
-    ``_id_filter`` restricts the attached rows to the referenced ids."""
+    ``attach_pair_sides`` (broadcast under the driver budget, else
+    cogroup). ``id_filter`` restricts the attached rows to the ids
+    ``pairs`` references."""
     import ray
 
-    from ..stages.verify import attach_pair_sides, choose_attach_method
+    from ..stages.verify import attach_pair_sides
 
-    # resolve "auto" against the BASE table (metadata-cheap count): the
-    # side actually attached is a transform of ``docs`` with the same
-    # row count, and counting the transformed dataset would execute its
-    # whole pipeline once just to pick a strategy (an id filter sizes
-    # the attach by the referenced ids instead)
-    if attach_method == "auto" and _id_filter is None:
-        attach_method = choose_attach_method(docs)
     docs = docs.select_columns(["doc_id", "text"])
 
     def _attach(side: "ray.data.Dataset", cols: list[str]) -> "ray.data.Dataset":
         return attach_pair_sides(
-            pairs, side, cols, method=attach_method, id_filter=_id_filter, id_col="doc_id"
+            pairs, side, cols, method=attach_method, id_filter=id_filter, id_col="doc_id"
         )
 
     gram_table = ray.get(gram_ref) if gram_ref is not None else None
@@ -1053,10 +1048,11 @@ def _verify_jaccard(
         )
 
     masks_ds = docs.map_batches(_mask_rows, batch_format="pyarrow")
-    if attach_method == "cogroup":
+    if attach_method != "broadcast":
         # the cogroup join counts its side for adaptive bucket sizing
-        # and then consumes it — materialize the (slim) mask table so
-        # the mask-construction pass runs once, not twice
+        # and then consumes it, after auto's pull past the budget read
+        # it once more — materialize the (slim) mask table so the
+        # mask-construction pass runs once
         masks_ds = masks_ds.materialize()
 
     def _verify(batch: pa.Table) -> pa.Table:
@@ -1293,7 +1289,7 @@ def decontaminate(
     train: "ray.data.Dataset",
     eval_ds: "ray.data.Dataset",
     n: int = 16,
-    n_buckets: int = 1024,
+    n_cogroups: int = 1024,
 ) -> "ray.data.Dataset":
     """Test-set decontamination (the GPT-3-style n-gram overlap check):
     for every training document, count the distinct char-``n``-grams it
@@ -1323,7 +1319,7 @@ def decontaminate(
             return pa.table(
                 {
                     "bucket": pa.array(
-                        (h % np.uint64(n_buckets)).astype(np.int64), pa.int64()
+                        (h % np.uint64(n_cogroups)).astype(np.int64), pa.int64()
                     ),
                     "gram": pa.array(grams, pa.string()),
                     "side": pa.array(
@@ -1529,13 +1525,6 @@ def minhash_signatures(
     return actor_map(docs.select_columns(["doc_id", "text"]), DocMinHash, _minhash_cfg(cfg), n)
 
 
-#: the local verify tail of ``incremental_minhash_dedup_pairs`` pulls
-#: the texts of at most this many referenced ids: with the gram
-#: vocabulary held to BITSET_VOCAB_LIMIT its dense (ids x vocab/64)
-#: uint64 mask stays within 256 MiB
-LOCAL_VERIFY_IDS = 1 << 15
-
-
 def incremental_minhash_dedup_pairs(
     new_docs: "ray.data.Dataset",
     ref_sigs: "ray.data.Dataset",
@@ -1545,8 +1534,6 @@ def incremental_minhash_dedup_pairs(
     jaccard_threshold: float = 0.8,
     attach_method: str = "auto",
     cap: int | None = None,
-    local_probe_limit: int = 2_000_000,
-    local_pair_limit: int = 2_000_000,
     stats: dict | None = None,
 ) -> "ray.data.Dataset":
     """Incremental (daily-ingest) TEXT near-dup dedup: the probe-vs-index
@@ -1566,19 +1553,19 @@ def incremental_minhash_dedup_pairs(
     rate). A re-ingested id is superseded: its stale signature and text
     are dropped, so it never self-pairs and verifies on its fresh text.
 
-    The verify tail is size-gated. With at most ``local_pair_limit``
-    candidate rows, at most ``LOCAL_VERIFY_IDS`` referenced ids and a
-    gram vocabulary (over the referenced texts only) of at most
-    ``BITSET_VOCAB_LIMIT``, it runs on the driver: pandas
-    drop_duplicates mirroring dedup_pairs, ONE task-only filtered scan
-    pulling just the referenced texts, and the gram-mask codec's bitset
-    Jaccard. Driver memory there is O(candidate pairs) (~32 B a row) +
-    O(referenced ids × (text + vocab/64 words)): the vocabulary is
-    counted before any mask is allocated, the dense mask is at most
-    256 MiB, and the pair-side AND runs in chunks of 32 MiB a side. Past
-    any gate the distributed tail runs instead: dedup_pairs shuffle,
-    then ``_verify_jaccard`` with texts attached only for the referenced
-    ids. Output is identical either way (pytest-forced boundary parity).
+    The verify tail is gated on the driver budget (stages/driver.py).
+    While the materialized candidate stream's bytes (block metadata)
+    fit, it runs on the driver: pandas drop_duplicates mirroring
+    dedup_pairs, ONE task-only filtered scan pulling just the
+    referenced texts through the bounded pull, and the gram-mask
+    codec's bitset Jaccard, whose dense (ids × vocab/64 words) mask
+    must fit too — the vocabulary is counted before any mask is
+    allocated, and the pair-side AND runs in chunks of 32 MiB a side.
+    Past any gate the distributed tail runs instead: dedup_pairs
+    shuffle, then ``_verify_jaccard`` with texts attached only for the
+    referenced ids. The probe join's explode is gated the same way
+    (``probe_index_pairs``). Output is identical either way
+    (pytest-forced boundary parity).
 
     Recall: both sides band identically (``_minhash_cfg``), so the
     per-pair candidate probability at J >= 0.8 is the symmetric op's
@@ -1598,7 +1585,6 @@ def incremental_minhash_dedup_pairs(
         id_dtype="int",
         cap=cfg.bucket_cap if cap is None else cap,
         ratio=jaccard_threshold,
-        local_probe_limit=local_probe_limit,
     )
     raw = raw.materialize()  # edge-list-sized candidate stream (collisions only)
     if stats is not None:
@@ -1610,18 +1596,14 @@ def incremental_minhash_dedup_pairs(
     docs_all = new_docs.select_columns(["doc_id", "text"]).union(
         ref_docs.select_columns(["doc_id", "text"]).map_batches(supersede, batch_format="pyarrow")
     )
-    if raw.count() <= local_pair_limit:
+    if driver.fits(raw.size_bytes()):
         out = _local_jaccard_tail(raw, docs_all, n, jaccard_threshold)
         if out is not None:
             return out
 
     cand = strip_sentinels(dedup_pairs(raw, id_dtype="int").materialize(), "int")
-    batches = cand.select_columns(["src_id", "dst_id"]).iter_batches(
-        batch_size=65536, batch_format="pyarrow"
-    )
-    needed = {i for b in batches for i in b["src_id"].to_pylist() + b["dst_id"].to_pylist()}
     return _verify_jaccard(
-        cand, docs_all, n, jaccard_threshold, attach_method, _id_filter=needed
+        cand, docs_all, n, jaccard_threshold, attach_method, id_filter=True
     )
 
 
@@ -1629,8 +1611,8 @@ def _local_jaccard_tail(
     raw: "ray.data.Dataset", docs: "ray.data.Dataset", n: int, threshold: float
 ) -> "ray.data.Dataset | None":
     """The driver-side verify tail of ``incremental_minhash_dedup_pairs``
-    over its materialized candidate stream, or None where the
-    referenced-id or vocabulary gate trips (see there)."""
+    over its materialized candidate stream, or None where the texts or
+    the dense mask pass the driver budget (see there)."""
     df = raw.select_columns(["src_id", "dst_id", "capped"]).to_pandas()
     df = df.reindex(columns=["src_id", "dst_id", "capped"])  # no rows, no columns
     df = df[df["src_id"] >= 0]  # strip sentinels
@@ -1641,8 +1623,6 @@ def _local_jaccard_tail(
     src = df["src_id"].to_numpy(dtype=np.int64)
     dst = df["dst_id"].to_numpy(dtype=np.int64)
     ids = np.unique(np.concatenate([src, dst]))
-    if len(ids) > LOCAL_VERIFY_IDS:
-        return None
     texts: dict[int, str] = {}
     if len(ids):
         need_ref = ray.put(pa.array(ids, pa.int64()))
@@ -1651,10 +1631,11 @@ def _local_jaccard_tail(
             return batch.filter(pc.is_in(batch["doc_id"], value_set=ray.get(need_ref)))
 
         # ONE task-only filtered scan — no actor pools, no attach
-        for b in docs.map_batches(_flt, batch_format="pyarrow").iter_batches(
-            batch_size=65536, batch_format="pyarrow"
-        ):
-            texts.update(zip(b["doc_id"].to_pylist(), b["text"].to_pylist()))
+        pulled = driver.pull(docs.map_batches(_flt, batch_format="pyarrow"))
+        if pulled is None:
+            return None
+        if pulled.num_rows:
+            texts.update(zip(pulled["doc_id"].to_pylist(), pulled["text"].to_pylist()))
         missing = set(ids.tolist()) - texts.keys()
         if missing:
             # caller contract: ref_docs must cover every id in ref_sigs —
@@ -1665,10 +1646,10 @@ def _local_jaccard_tail(
                 f"new_docs/ref_docs (e.g. {sorted(missing)[:3]})"
             )
     # the gram-mask codec over a gram table of the referenced texts,
-    # its size gated before any mask is allocated
+    # its (ids x words) uint64 size gated before any mask is allocated
     ref_texts = [texts[i] for i in ids.tolist()]
     grams, _ = _batch_gram_df(ref_texts, n)
-    if len(grams) > BITSET_VOCAB_LIMIT:
+    if not driver.fits(len(ids) * ((len(grams) + 63) // 64) * 8):
         return None
     masks, szs = _gram_masks(ref_texts, pa.array(grams, pa.string()), n)
     ai, bi = np.searchsorted(ids, src), np.searchsorted(ids, dst)
@@ -3094,10 +3075,8 @@ def shared_span_pairs(
         ),
         id_dtype="int",
     )
-    from ..stages.verify import attach_pair_sides, choose_attach_method
+    from ..stages.verify import attach_pair_sides
 
-    if attach_method == "auto":
-        attach_method = choose_attach_method(docs)
     attached = attach_pair_sides(
         cand,
         docs.select_columns(["doc_id", "text"]),
@@ -3469,7 +3448,7 @@ def incremental_dedup(
     incoming: "ray.data.Dataset",
     snapshot: "ray.data.Dataset",
     m_bits: int = 1 << 23,
-    n_buckets: int = _MERGE_COGROUPS,
+    n_cogroups: int = _MERGE_COGROUPS,
 ) -> "ray.data.Dataset":
     """Incremental corpus dedup: flag incoming documents whose exact
     text already exists in a previously-deduped snapshot corpus — the
@@ -3531,7 +3510,7 @@ def incremental_dedup(
 
     return (
         both.map_batches(
-            lambda t: bucket_by_keys(t, ["text"], n_buckets),
+            lambda t: bucket_by_keys(t, ["text"], n_cogroups),
             batch_format="pyarrow",
         )
         .groupby("bucket")
@@ -3663,7 +3642,7 @@ def _word_ngram_doc_pairs(batch: pa.Table, n: int) -> pd.DataFrame:
 
 
 def dup_ngram_fraction(
-    docs: "ray.data.Dataset", n: int = 3, n_buckets: int = _MERGE_COGROUPS
+    docs: "ray.data.Dataset", n: int = 3, n_cogroups: int = _MERGE_COGROUPS
 ) -> "ray.data.Dataset":
     """For every document: how much of it is repeated elsewhere in the
     corpus? Per doc, the count of its DISTINCT word ``n``-grams, the
@@ -3712,7 +3691,7 @@ def dup_ngram_fraction(
         docs.select_columns(["doc_id", "text"])
         .map_batches(_partial, batch_format="pyarrow")
         .map_batches(
-            lambda t: bucket_by_keys(t, ["gram"], n_buckets),
+            lambda t: bucket_by_keys(t, ["gram"], n_cogroups),
             batch_format="pyarrow",
         )
         .groupby("bucket")

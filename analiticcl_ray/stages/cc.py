@@ -22,8 +22,8 @@ Two interchangeable implementations (SURVEY.md §2.6 CC):
   Rounds are materialized to keep lineage bounded (checkpointable).
   Works over string or integer node ids (type-parametric).
 
-- ``cc_union_find``: driver-side union-find, used when the edge list is
-  provably small (it is the *verified duplicate* set, orders of
+- ``cc_union_find``: driver-side union-find, used while the edge list
+  fits the driver budget (it is the *verified duplicate* set, orders of
   magnitude smaller than the corpus). O(E α(E)) and exact.
 
 Both return a Dataset (image_id, cluster_id) over nodes that appear in
@@ -35,8 +35,6 @@ added back by the pipeline, not here.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -45,30 +43,23 @@ import ray.data
 from ray.data.aggregate import Sum
 
 
-#: edge count up to which ``cc_auto`` takes the driver union-find
-UNION_FIND_MAX_EDGES = 2_000_000
+def cc_auto(pairs: "ray.data.Dataset") -> tuple["ray.data.Dataset", str]:
+    """Connected components by the route the edge list's size picks;
+    returns ``(labels, route)``, route ``"union_find"`` or
+    ``"label_prop"``. ``pairs`` is materialized first, so the gate and
+    the chosen algorithm consume one execution of the upstream
+    pipeline. While the materialized edge list's bytes (block metadata)
+    fit the driver budget (stages/driver.py), the exact O(E a(E)) driver
+    union-find wins outright: the verified-pair edge list is orders of
+    magnitude smaller than the corpus, and label propagation pays
+    several shuffle+checksum rounds of fixed latency. Beyond it, the
+    distributed min-label path takes over with no driver-side state."""
+    from .driver import fits
 
-
-def cc_route(n_edges: int, small_threshold: int = UNION_FIND_MAX_EDGES) -> str:
-    """The algorithm ``cc_auto`` picks for an edge list of ``n_edges``."""
-    return "union_find" if n_edges <= small_threshold else "label_prop"
-
-
-def cc_auto(
-    pairs: "ray.data.Dataset", small_threshold: int = UNION_FIND_MAX_EDGES, **lp_kwargs
-) -> "ray.data.Dataset":
-    """Route by measured edge count (``cc_route``): the verified-pair
-    edge list is orders of magnitude smaller than the corpus, so up to
-    ``small_threshold`` edges the exact O(E a(E)) driver union-find wins
-    outright (label propagation pays several shuffle+checksum rounds of
-    fixed latency); beyond it, the distributed min-label path takes
-    over with no driver-side state. ``pairs`` is materialized first so
-    the count and the chosen algorithm consume one execution of the
-    upstream pipeline, not two."""
     pairs = pairs.materialize()
-    if cc_route(pairs.count(), small_threshold) == "union_find":
-        return cc_union_find(pairs)
-    return cc_label_propagation(pairs, **lp_kwargs)
+    if fits(pairs.size_bytes()):
+        return cc_union_find(pairs), "union_find"
+    return cc_label_propagation(pairs), "label_prop"
 
 
 def cc_union_find(pairs: "ray.data.Dataset") -> "ray.data.Dataset":
@@ -141,7 +132,6 @@ def _rename_min(batch: pa.Table) -> pa.Table:
 def cc_label_propagation(
     pairs: "ray.data.Dataset",
     max_rounds: int = 50,
-    n_buckets: Optional[int] = None,
 ) -> "ray.data.Dataset":
     """Distributed min-label propagation; all shuffles edge-sized and
     every per-group transform a C-speed pandas merge (no per-node
@@ -162,13 +152,9 @@ def cc_label_propagation(
             )
         )
 
-    if n_buckets is None:
-        from .lsh import adaptive_cogroups
+    from .lsh import adaptive_cogroups
 
-        try:
-            n_buckets = adaptive_cogroups(edges.count(), floor=256)
-        except Exception:
-            n_buckets = 256
+    n_cogroups = adaptive_cogroups(edges.count(), floor=256)
 
     # symmetric half-edges once, reused every round
     def _sym(batch: pa.Table) -> pa.Table:
@@ -205,7 +191,7 @@ def cc_label_propagation(
         h = pd.util.hash_pandas_object(ids, index=False).to_numpy()
         return batch.append_column(
             "bucket",
-            pa.array((h % np.uint64(n_buckets)).astype(np.int64), pa.int64()),
+            pa.array((h % np.uint64(n_cogroups)).astype(np.int64), pa.int64()),
         )
 
     def _tag_label(batch: pa.Table) -> pa.Table:

@@ -201,10 +201,10 @@ def widen_blocks(
 
 
 def bucket_by_keys(
-    batch: pa.Table, key_cols: list[str], n_buckets: int
+    batch: pa.Table, key_cols: list[str], n_cogroups: int
 ) -> pa.Table:
     """Append an int64 ``bucket`` column = deterministic hash of the key
-    columns mod ``n_buckets``. All rows sharing the keys land in one
+    columns mod ``n_cogroups``. All rows sharing the keys land in one
     cogroup; many key groups share a cogroup, so a downstream
     ``groupby("bucket").map_groups`` pays ONE Python call per bucket
     (with a C-speed pandas groupby inside) instead of one per key —
@@ -224,7 +224,7 @@ def bucket_by_keys(
             col = batch[c].to_pandas().to_numpy()
             h = pd.util.hash_array(col, categorize=False)
             acc = (acc ^ h) * np.uint64(0x9E3779B97F4A7C15)
-        bucket = acc % np.uint64(n_buckets)
+        bucket = acc % np.uint64(n_cogroups)
     return batch.append_column(
         "bucket", pa.array(bucket.astype(np.int64), pa.int64())
     ).replace_schema_metadata(None)
@@ -655,7 +655,6 @@ def probe_index_pairs(
     cap: int = 256,
     ratio: Optional[float] = None,
     maxham: Optional[int] = None,
-    local_probe_limit: int = 2_000_000,
 ) -> tuple["ray.data.Dataset", Callable[[pa.Table], pa.Table]]:
     """The probe-vs-index join: pairs of a NEW shard against itself and
     against a persisted REFERENCE table, never ref x ref — the asymmetric
@@ -667,9 +666,11 @@ def probe_index_pairs(
     1. ONE streaming driver pull over ``new`` (the only execution of its
        upstream) gives the new-id broadcast, the probe band-key broadcast
        and the probe band rows, exploded on the driver and re-entered as
-       ``from_arrow`` blocks. The pull is O(|shard|); past
-       ``local_probe_limit`` exploded rows the explode runs distributed
-       from the pulled table instead (one materialize).
+       ``from_arrow`` blocks. The pull is O(|shard|) in every regime;
+       the explode alone is gated: while its bytes (``n_bands`` band,
+       id, attr and side values per row) fit the driver budget
+       (stages/driver.py) it runs on the driver, past it distributed
+       from the pulled table (one materialize).
     2. Ref side, one fused map_batches: supersession (an id re-ingested
        in ``new`` drops its stale ref row, so it never self-pairs and
        resolves to its new attr), explode, and the probe-key collision
@@ -728,7 +729,11 @@ def probe_index_pairs(
             }
         )
 
-    if len(local) * n_bands <= local_probe_limit:
+    from .driver import fits
+
+    # n_bands exploded rows per row: band (8 B), id, attr and side (1 B)
+    attr_bytes = local[attr_col].nbytes if len(local) else 0
+    if fits(n_bands * (local[id_col].nbytes + attr_bytes + 9 * len(local))):
         probe_rows = (
             _explode(local, 1)
             if len(local)

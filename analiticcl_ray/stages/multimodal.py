@@ -418,7 +418,6 @@ def incremental_banded_dup_pairs(
     bands: int = 4,
     cap: int = 256,
     stats: dict = None,
-    local_probe_limit: int = 2_000_000,
 ) -> "ray.data.Dataset":
     """Asymmetric (probe-vs-index) banded near-dup join — the daily-
     ingest shape: match a NEW shard's hashes against itself and against
@@ -437,9 +436,10 @@ def incremental_banded_dup_pairs(
     ``stats['dropped_rows']`` through the sentinel tally. Re-ingest: an
     id in BOTH tables resolves to its NEW hash (its stale ref row is
     dropped before banding — lossless in the pigeonhole-complete
-    regime), so it never self-pairs. ``local_probe_limit`` bounds the
-    driver-side ×``bands`` explode of the probe shard; the (id, hash)
-    pull itself is O(|shard|) in all regimes."""
+    regime), so it never self-pairs. The driver budget
+    (stages/driver.py) bounds the driver-side ×``bands`` explode of the
+    probe shard; the (id, hash) pull itself is O(|shard|) in all
+    regimes."""
     from .lsh import dedup_pairs, probe_index_pairs, strip_sentinels, tally_sentinels
     from .signatures import hash_band_table
 
@@ -452,7 +452,6 @@ def incremental_banded_dup_pairs(
         add_bands=lambda t: hash_band_table(t, hash_col, bands, out_col="bands"),
         cap=cap,
         maxham=max_hamming,
-        local_probe_limit=local_probe_limit,
     )
     # a pair emitted in several bands carries the same hamming (one hash
     # per id), so dedup_pairs may keep any copy

@@ -18,20 +18,18 @@ Side-data attachment (SURVEY.md J-section): the corpus' slim columns
 (caption / fmt+bytes) are attached to pairs either by
 - ``broadcast``: one ``ray.put`` of a single Arrow lookup table —
   plasma-shared zero-copy across every worker on a node, attached per
-  batch with vectorized ``index_in``/``take``. Zero shuffle; correct
-  while the *referenced* slim columns fit in the object store (captions
-  at 1e12 rows do not — use cogroup there; bytes for *surviving* pairs
-  usually do), or
+  batch with vectorized ``index_in``/``take``. Zero shuffle; the table
+  is pulled through the driver budget (stages/driver.py), so "auto"
+  takes it while the *referenced* slim columns fit (captions at 1e12
+  rows do not; bytes for *surviving* pairs usually do), or
 - ``cogroup``: a two-stage bucket-hash join (pair-side stubs and corpus
   rows co-bucketed by id hash, per-bucket Arrow lookup, then sides
   rejoined by pair hash) — the 1e12-scale path; only the slim
   projection ever enters a shuffle. Verified result-identical to
-  broadcast (tests/test_stages_ray.py).
+  broadcast (tests/test_attach.py).
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Optional
 
 import numpy as np
 import pyarrow as pa
@@ -57,18 +55,25 @@ def broadcast_lookup(
     (``ray.put`` once). Arrow buffers are plasma-shared zero-copy across
     all workers on a node — unlike a Python dict, which every actor
     would re-deserialize into its own heap (measured: the dominant
-    non-scaling cost at 1M rows × 28 actors)."""
-    parts = []
-    for batch in corpus.select_columns([id_col, *value_cols]).iter_batches(
-        batch_size=65536, batch_format="pyarrow"
-    ):
-        parts.append(batch)
-    table = (
-        pa.concat_tables(parts)
-        if parts
-        else pa.table({id_col: pa.array([], pa.string())})
-    )
-    return ray.put(table.combine_chunks())
+    non-scaling cost at 1M rows × 28 actors). The table is pulled
+    through the driver budget (stages/driver.pull) and this raises past
+    it; ``attach_pair_sides(method="auto")`` joins on the cluster
+    instead."""
+    from .driver import DRIVER_BUDGET_BYTES, pull
+
+    table = pull(corpus, [id_col, *value_cols])
+    if table is None:
+        raise MemoryError(
+            f"broadcast_lookup: the ({id_col}, {', '.join(value_cols)}) table "
+            f"passes the driver budget of {DRIVER_BUDGET_BYTES} bytes"
+        )
+    return _put_lookup(table, id_col)
+
+
+def _put_lookup(table: pa.Table, id_col: str):
+    if not table.num_columns:
+        table = pa.table({id_col: pa.array([], pa.string())})
+    return ray.put(table)
 
 
 class _AttachFromBroadcast:
@@ -101,90 +106,60 @@ class _AttachFromBroadcast:
         return out
 
 
-#: rows above which the broadcast attach path is refused by "auto" —
-#: a slim (id, caption) projection at this size is ~low-hundreds of MB
-#: in the object store; beyond it the cogroup bucket-join is the shape
-#: that survives 1e12 rows.
-AUTO_BROADCAST_ROW_LIMIT = 2_000_000
-
-
-def choose_attach_method(
-    corpus: "ray.data.Dataset", row_limit: int = AUTO_BROADCAST_ROW_LIMIT
-) -> str:
-    """Size-based broadcast↔cogroup switch (VERDICT r1 item 6): prefer
-    the zero-copy Arrow broadcast while the slim side fits comfortably
-    in the object store, else the bucket-hash cogroup join. Uses the
-    dataset's metadata row count when available (free for parquet and
-    materialized datasets); the ``count()`` fallback EXECUTES a derived
-    pipeline once just to decide — callers holding a derived corpus
-    should go through ``attach_pair_sides(method="auto")``, which
-    materializes the slim projection once and reuses it for the attach
-    itself, or resolve against the metadata-backed base table (the
-    text.py call sites)."""
-    try:
-        n = corpus._meta_count()
-        if n is None:
-            n = corpus.count()
-    except Exception:
-        return "cogroup"
-    return "broadcast" if n is not None and n <= row_limit else "cogroup"
-
-
 def attach_pair_sides(
     pairs: "ray.data.Dataset",
     corpus: "ray.data.Dataset",
     value_cols: list[str],
     method: str = "broadcast",
-    id_filter: Optional[Iterable[str]] = None,
+    id_filter: bool = False,
     id_col: str = "image_id",
 ) -> "ray.data.Dataset":
     """Attach corpus columns to both sides of a pairs dataset.
 
-    ``method``: "broadcast" | "cogroup" | "auto" (size-based switch).
-    ``id_filter``: restrict the corpus scan to the ids actually
-    referenced (semi-join via a broadcast Arrow id array + ``pc.is_in``,
+    ``method``: "broadcast" | "cogroup" | "auto". Auto pulls the slim
+    (id, values) projection through the driver budget
+    (stages/driver.pull) and broadcasts it; past the budget it takes
+    the cogroup join, which reads the corpus side again.
+    ``id_filter``: restrict the corpus scan to the ids ``pairs``
+    references (semi-join via a broadcast Arrow id array + ``pc.is_in``,
     C-speed per batch) — essential when attaching the binary column:
-    only surviving pairs' bytes are pulled."""
+    only surviving pairs' bytes are pulled. The ids are pulled from
+    ``pairs`` under the same budget; past it the attach is the cogroup
+    join, unfiltered (its bucket join drops the unreferenced rows)."""
     import pyarrow.compute as pc
 
-    src = corpus
-    if id_filter is not None:
-        ids = sorted(set(id_filter))
-        needed_arr = pa.array(ids) if ids else None
-        needed_ref = ray.put(needed_arr)
+    from .driver import pull
 
-        def _semi(batch: pa.Table) -> pa.Table:
-            needed = ray.get(needed_ref)
-            if needed is None:
-                return batch.slice(0, 0)
-            return batch.filter(pc.is_in(batch[id_col], value_set=needed))
-
-        src = corpus.map_batches(_semi, batch_format="pyarrow")
-
-    if method == "auto":
-        if id_filter is not None:
-            # referenced set is already bounded by the surviving pairs
-            method = (
-                "broadcast" if len(ids) <= AUTO_BROADCAST_ROW_LIMIT else "cogroup"
-            )
+    src = corpus.select_columns([id_col, *value_cols])
+    if id_filter:
+        ids = pull(pairs, ["src_id", "dst_id"])
+        if ids is None:
+            method = "cogroup"
         else:
-            try:
-                n = corpus._meta_count()
-            except Exception:
-                n = None
-            if n is None:
-                # derived corpus (no metadata row count): counting it
-                # would execute the upstream pipeline once and the
-                # attach would execute it AGAIN — materialize the slim
-                # projection ONCE (object-store blocks, spillable) and
-                # reuse it for both the decision and the attach
-                src = src.select_columns([id_col, *value_cols]).materialize()
-                n = src.count()
-            method = (
-                "broadcast" if n <= AUTO_BROADCAST_ROW_LIMIT else "cogroup"
+            needed_ref = ray.put(
+                pc.unique(pa.chunked_array(ids["src_id"].chunks + ids["dst_id"].chunks))
+                if ids.num_rows
+                else None
             )
+
+            def _semi(batch: pa.Table) -> pa.Table:
+                needed = ray.get(needed_ref)
+                if needed is None:
+                    return batch.slice(0, 0)
+                return batch.filter(pc.is_in(batch[id_col], value_set=needed))
+
+            src = src.map_batches(_semi, batch_format="pyarrow")
+
+    table = None
+    if method == "auto":
+        table = pull(src)
+        method = "cogroup" if table is None else "broadcast"
     if method == "broadcast":
-        ref = broadcast_lookup(src, value_cols, id_col=id_col)
+        ref = (
+            broadcast_lookup(src, value_cols, id_col=id_col)
+            if table is None
+            else _put_lookup(table, id_col)
+        )
         return actor_map(
             pairs, _AttachFromBroadcast, ref, value_cols, ("src", "dst"), id_col
         )
@@ -197,7 +172,6 @@ def _attach_cogroup(
     pairs: "ray.data.Dataset",
     corpus: "ray.data.Dataset",
     value_cols: list[str],
-    n_buckets: Optional[int] = None,
     id_col: str = "image_id",
 ) -> "ray.data.Dataset":
     """Hash-partitioned attach (the 1e12-scale path): two bucket-join
@@ -224,17 +198,15 @@ def _attach_cogroup(
     pairs = pairs.map_batches(lambda t: t, batch_format="pyarrow")
     corpus = corpus.map_batches(lambda t: t, batch_format="pyarrow")
 
-    if n_buckets is None:
-        # scale bucket count with the corpus side (each bucket is one
-        # Arrow lookup): parquet metadata makes count() cheap; lazy
-        # pipelines without cheap counts keep the floor
-        from .lsh import adaptive_cogroups
+    from .lsh import adaptive_cogroups, bucket_by_keys
 
-        try:
-            n_buckets = adaptive_cogroups(corpus.count(), floor=512)
-        except Exception:
-            n_buckets = 512
-    from .lsh import bucket_by_keys
+    # scale the bucket count with the corpus side (each bucket is one
+    # Arrow lookup): parquet metadata makes count() cheap; lazy
+    # pipelines without cheap counts keep the floor
+    try:
+        n_cogroups = adaptive_cogroups(corpus.count(), floor=512)
+    except Exception:
+        n_cogroups = 512
 
     pair_schema = pairs.schema().base_schema
     corpus_schema = corpus.schema().base_schema
@@ -271,7 +243,7 @@ def _attach_cogroup(
 
     def _bucket(batch: pa.Table) -> pa.Table:
         # shared deterministic vectorized hash (no per-row str build)
-        return bucket_by_keys(batch, ["image_id"], n_buckets)
+        return bucket_by_keys(batch, ["image_id"], n_cogroups)
 
     both = (
         pairs.map_batches(_stubs, batch_format="pyarrow")
@@ -309,7 +281,7 @@ def _attach_cogroup(
     attached = both.groupby("bucket").map_groups(_merge_values, batch_format="pyarrow")
 
     def _pair_bucket(batch: pa.Table) -> pa.Table:
-        t = bucket_by_keys(batch, ["p_src_id", "p_dst_id"], n_buckets)
+        t = bucket_by_keys(batch, ["p_src_id", "p_dst_id"], n_cogroups)
         return t.rename_columns(
             ["pbucket" if c == "bucket" else c for c in t.column_names]
         )
@@ -350,10 +322,11 @@ def split_exact_and_prune(survivors: "ray.data.Dataset", cfg):
        1e12 rows) are exact image dups with PSNR=inf; their binary
        column is never fetched.
     2. phash-hamming prune (when phash candidates are enabled):
-       PSNR >= threshold implies a near-identical phash (measured
-       <= 4 bits vs ~32 for unrelated images), so non-byte-equal
-       pairs farther than ``cfg.phash_max_hamming`` can never pass
-       the pixel verify — dropped BEFORE bytes are attached/decoded.
+       non-byte-equal pairs farther than ``cfg.phash_max_hamming`` are
+       dropped BEFORE bytes are attached/decoded. The bound is a
+       measured margin, not a proof: PSNR-passing pairs were observed
+       <= 4 bits apart vs ~32 for unrelated images
+       (``config.phash_max_hamming``).
 
     Returns ``(n_survivors, exact_dups, needs_pixels)``; ``survivors``
     must carry src/dst ``bytes_key``/``bytes_key2`` (and ``phash`` when

@@ -137,25 +137,33 @@ def test_pipeline_with_cogroup_attach(ray_session):
 
 
 def test_auto_method_switches_on_size(attach_inputs, monkeypatch):
-    """VERDICT r1 item 6: method='auto' picks broadcast for small sides
-    and cogroup beyond the row limit."""
+    """VERDICT r1 item 6: method='auto' broadcasts while the pulled
+    lookup fits the driver budget and takes the cogroup join past it,
+    with the same rows either way."""
     import analiticcl_ray.stages.verify as V
+    from analiticcl_ray.stages import driver
 
     corpus, pairs = attach_inputs
-    assert V.choose_attach_method(corpus) == "broadcast"
-    monkeypatch.setattr(V, "AUTO_BROADCAST_ROW_LIMIT", 10)
-    assert V.choose_attach_method(corpus, row_limit=10) == "cogroup"
-    # auto (forced into cogroup) is result-identical to broadcast
+    calls = []
+    real = V._attach_cogroup
+    monkeypatch.setattr(V, "_attach_cogroup", lambda *a, **k: calls.append(1) or real(*a, **k))
     cols = ["src_caption", "dst_caption", "capped"]
-    a = _keyed(
-        V.attach_pair_sides(pairs, corpus, ["caption"], method="auto").take_all(),
-        cols,
-    )
+
+    def auto():
+        return _keyed(
+            V.attach_pair_sides(pairs, corpus, ["caption"], method="auto").take_all(),
+            cols,
+        )
+
     b = _keyed(
         V.attach_pair_sides(pairs, corpus, ["caption"], method="broadcast").take_all(),
         cols,
     )
-    assert a == b
+    assert auto() == b and not calls
+    # a budget just below the slim (image_id, caption) projection
+    slim = driver.pull(corpus, ["image_id", "caption"]).nbytes
+    monkeypatch.setattr(driver, "DRIVER_BUDGET_BYTES", slim - 1)
+    assert auto() == b and calls == [1]
 
 
 def test_embeddings_broadcast_equals_cogroup(ray_session):
@@ -206,20 +214,26 @@ def test_embeddings_broadcast_equals_cogroup(ray_session):
 
 def test_ann_lsh_pairs_cogroup_equals_broadcast(ray_session, monkeypatch):
     """End-to-end: cosine_dup_pairs_lsh produces identical pairs when
-    the auto attach is forced into the cogroup path (row limit 1)."""
+    the auto attach is forced into the cogroup path (driver budget 0)."""
     import ray.data as rd
 
     import analiticcl_ray.stages.verify as V
     from analiticcl_ray.pipelines.ann import cosine_dup_pairs_lsh
+    from analiticcl_ray.stages import driver
 
     emb = rd.read_parquet("/root/testdata/sf0.001/embeddings.parquet")
 
     def pset(ds):
         return {(r["a"], r["b"]) for r in ds.take_all()}
 
+    calls = []
+    real = V._attach_cogroup
+    monkeypatch.setattr(V, "_attach_cogroup", lambda *a, **k: calls.append(1) or real(*a, **k))
     base = pset(cosine_dup_pairs_lsh(emb, threshold=0.4))
-    monkeypatch.setattr(V, "choose_attach_method", lambda *a, **k: "cogroup")
+    assert not calls
+    monkeypatch.setattr(driver, "DRIVER_BUDGET_BYTES", 0)
     forced = pset(cosine_dup_pairs_lsh(emb, threshold=0.4))
+    assert calls
     assert forced == base
 
 

@@ -474,9 +474,9 @@ def test_incremental_property_vs_bruteforce(ray_session, tables):
     assert got == expected
 
 
-def test_incremental_local_probe_limit_fallback(ray_session):
+def test_incremental_local_probe_limit_fallback(ray_session, monkeypatch):
     """The enforced local-explode boundary: forcing the distributed
-    fallback (local_probe_limit=0) yields EXACTLY the same pair set as
+    fallback (driver budget 0) yields EXACTLY the same pair set as
     the local-explode fast path — only the barrier count differs."""
     import numpy as np
     import pyarrow as pa
@@ -506,7 +506,10 @@ def test_incremental_local_probe_limit_fallback(ray_session):
         ).to_pandas()
         return sorted(map(tuple, out.values.tolist()))
 
+    from analiticcl_ray.stages import driver
+
     fast = run()
-    dist = run(local_probe_limit=0)
+    monkeypatch.setattr(driver, "DRIVER_BUDGET_BYTES", 0)
+    dist = run()
     assert fast == dist
     assert fast, "fixture must produce pairs"

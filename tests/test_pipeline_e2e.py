@@ -74,18 +74,22 @@ def test_label_propagation_matches_union_find(ray_session, pipeline_result):
     assert lp == uf
 
 
-def test_cc_auto_routes_by_edge_count(ray_session, pipeline_result):
-    """cc_auto picks union-find under the threshold, label propagation
-    above it (threshold 0 forces the distributed path); both routes
-    give identical labelings."""
+def test_cc_auto_routes_by_edge_count(ray_session, pipeline_result, monkeypatch):
+    """cc_auto picks union-find while the edge list fits the driver
+    budget, label propagation past it (budget 0 forces the distributed
+    path); both routes give identical labelings, and the route it
+    reports is the one that ran."""
+    from analiticcl_ray.stages import driver
     from analiticcl_ray.stages.cc import cc_auto
 
-    _, _, _, pairs_ds = pipeline_result
-    small = {r["image_id"]: r["cluster_id"] for r in cc_auto(pairs_ds).take_all()}
-    big = {
-        r["image_id"]: r["cluster_id"]
-        for r in cc_auto(pairs_ds, small_threshold=0).take_all()
-    }
+    _, _, metrics, pairs_ds = pipeline_result
+    labels, route = cc_auto(pairs_ds)
+    small = {r["image_id"]: r["cluster_id"] for r in labels.take_all()}
+    assert route == metrics["cc_method"] == "union_find"
+    monkeypatch.setattr(driver, "DRIVER_BUDGET_BYTES", 0)
+    labels, route = cc_auto(pairs_ds)
+    big = {r["image_id"]: r["cluster_id"] for r in labels.take_all()}
+    assert route == "label_prop"
     assert small == big
     assert len(small) > 0
 

@@ -657,11 +657,11 @@ def _probe_index_bruteforce(new: dict, ref: dict, cap: int, keep) -> tuple[dict,
     return pairs, [d for d in dropped if d]
 
 
-def test_probe_index_pairs_matches_bruteforce(ray_session):
+def test_probe_index_pairs_matches_bruteforce(ray_session, monkeypatch):
     """Seeded property of the one probe-vs-index join
     (lsh.probe_index_pairs), for both in-bucket pair tests — the gram-size
     ratio on int ids and the exact 64-bit hamming on str ids — at the
-    default local_probe_limit and at 0 (distributed explode): its deduped,
+    default driver budget and at 0 (distributed explode): its deduped,
     sentinel-stripped pairs equal the brute-force population, a
     re-ingested id never self-pairs and pairs on its new attr, and the
     over-cap band's dropped ref rows come back through the sentinel
@@ -670,6 +670,7 @@ def test_probe_index_pairs_matches_bruteforce(ray_session):
     import pyarrow as pa
     import ray.data as rd
 
+    from analiticcl_ray.stages import driver
     from analiticcl_ray.stages.lsh import (
         _popcount_u64,
         probe_index_pairs,
@@ -681,6 +682,7 @@ def test_probe_index_pairs_matches_bruteforce(ray_session):
         return int(_popcount_u64(np.array([a ^ b], np.int64).view(np.uint64))[0])
 
     cap, hot, n_bands = 6, 10_000, 3
+    default = driver.DRIVER_BUDGET_BYTES
     for seed, id_dtype in ((1, "int"), (2, "str"), (3, "int"), (4, "str")):
         rng = np.random.default_rng(seed)
         key = (lambda i: i) if id_dtype == "int" else (lambda i: f"d{i:03d}")
@@ -719,10 +721,11 @@ def test_probe_index_pairs_matches_bruteforce(ray_session):
             }))
 
         test = {"ratio": 0.8} if id_dtype == "int" else {"maxham": 3}
-        for limit in (2_000_000, 0):
+        for budget in (default, 0):
+            monkeypatch.setattr(driver, "DRIVER_BUDGET_BYTES", budget)
             raw, _ = probe_index_pairs(
                 tab(new), tab(ref), "id", "attr", n_bands, id_dtype=id_dtype,
-                cap=cap, local_probe_limit=limit, **test,
+                cap=cap, **test,
             )
             raw = raw.materialize()
             stats: dict = {}
@@ -731,7 +734,7 @@ def test_probe_index_pairs_matches_bruteforce(ray_session):
                              "dropped_rows": sum(want_dropped)}
             got = strip_sentinels(raw, id_dtype).to_pandas().drop_duplicates(["src_id", "dst_id"])
             pairs = list(zip(got["src_id"].tolist(), got["dst_id"].tolist()))
-            assert len(pairs) == len(got) and set(pairs) == set(want), (seed, limit)
+            assert len(pairs) == len(got) and set(pairs) == set(want), (seed, budget)
             assert all(s != d for s, d in pairs)
             if id_dtype == "str":
                 assert got["hamming"].tolist() == [ham(*want[p]) for p in pairs]

@@ -2089,7 +2089,7 @@ def _restricted_bruteforce(df, is_new, threshold=0.8):
     return want
 
 
-def test_incremental_minhash_matches_restricted_bruteforce(docs):
+def test_incremental_minhash_matches_restricted_bruteforce(docs, monkeypatch):
     """Parity split of the sf0.001 documents table: the probe-vs-index
     op must equal the parity-restricted exact-Jaccard brute force
     (pairs AND values), with src always from the new shard."""
@@ -2114,11 +2114,12 @@ def test_incremental_minhash_matches_restricted_bruteforce(docs):
     out = incremental_minhash_dedup_pairs(
         new, ref_sigs, ref, stats=stats
     ).to_pandas()
-    # the fully-distributed tail must agree with the local tail
-    # (values too, not just the pair set)
-    out_dist = incremental_minhash_dedup_pairs(
-        new, ref_sigs, ref, local_pair_limit=0
-    ).to_pandas()
+    # the fully-distributed tail (driver budget 0) must agree with the
+    # local tail (values too, not just the pair set)
+    from analiticcl_ray.stages import driver
+
+    monkeypatch.setattr(driver, "DRIVER_BUDGET_BYTES", 0)
+    out_dist = incremental_minhash_dedup_pairs(new, ref_sigs, ref).to_pandas()
     got_dist = {
         (int(a), int(b)): j
         for a, b, j in zip(out_dist["a"], out_dist["b"], out_dist["jaccard"])
@@ -2181,7 +2182,7 @@ def test_incremental_minhash_supersession_and_self_pair(ray_session):
     assert (2, 3) in got
 
 
-def test_incremental_minhash_cap_subset_and_sentinels(ray_session):
+def test_incremental_minhash_cap_subset_and_sentinels(ray_session, monkeypatch):
     """Under a tiny cap the op emits a SUBSET of the restricted brute
     force (exact verify -> no false positives) and reports every
     dropped ref row through the sentinel tally."""
@@ -2219,12 +2220,13 @@ def test_incremental_minhash_cap_subset_and_sentinels(ray_session):
     # ref rows were displaced and counted
     assert stats["dropped_rows"] > 0
 
-    # distributed-fallback parity: forcing the over-limit paths (the
+    # distributed-fallback parity: forcing the over-budget paths (the
     # probe explode AND the verify tail) must not change the output
     # (pytest analog of the multimodal boundary test)
-    out2 = incremental_minhash_dedup_pairs(
-        new, ref_sigs, ref, cap=4, local_probe_limit=0, local_pair_limit=0
-    ).to_pandas()
+    from analiticcl_ray.stages import driver
+
+    monkeypatch.setattr(driver, "DRIVER_BUDGET_BYTES", 0)
+    out2 = incremental_minhash_dedup_pairs(new, ref_sigs, ref, cap=4).to_pandas()
     got2 = {(int(a), int(b)) for a, b in zip(out2["a"], out2["b"])}
     assert got2 == got
 
@@ -2254,15 +2256,15 @@ def test_incremental_minhash_duplicated_shard_id_never_self_pairs(ray_session):
 
 
 def test_incremental_minhash_local_tail_gates_fall_through(docs, monkeypatch):
-    """The local verify tail stops at its gram-vocabulary and
-    referenced-id gates (the vocabulary is checked against
-    BITSET_VOCAB_LIMIT before any mask is allocated) and falls through
-    to the distributed tail, which gives exactly the default path's
-    rows."""
+    """The local verify tail stops at each of its two driver-budget
+    gates — the pull of the referenced texts, then the dense mask's
+    ids x words x 8 bytes, checked before any mask is allocated — and
+    falls through to the distributed tail, which gives exactly the
+    default path's rows."""
     import pyarrow.compute as pc
 
     from analiticcl_ray.pipelines import text
-    from analiticcl_ray.stages import lsh
+    from analiticcl_ray.stages import driver, lsh
 
     def _half(par):
         def _f(t):
@@ -2279,18 +2281,30 @@ def test_incremental_minhash_local_tail_gates_fall_through(docs, monkeypatch):
         out = text.incremental_minhash_dedup_pairs(new, ref_sigs, ref).to_pandas()
         return sorted(map(tuple, out[["a", "b", "jaccard"]].values.tolist()))
 
-    # the distributed tail is the only caller of dedup_pairs here
-    calls = []
-    real = lsh.dedup_pairs
-    monkeypatch.setattr(lsh, "dedup_pairs", lambda *a, **k: calls.append(1) or real(*a, **k))
+    # the distributed tail is the only caller of dedup_pairs here, the
+    # local tail the only one of _gram_masks
+    calls = {"dedup_pairs": 0, "_gram_masks": 0}
+    for mod, name in ((lsh, "dedup_pairs"), (text, "_gram_masks")):
+        real = getattr(mod, name)
+        monkeypatch.setattr(
+            mod, name,
+            lambda *a, _r=real, _n=name, **k: calls.__setitem__(_n, calls[_n] + 1) or _r(*a, **k),
+        )
+    # every budget check in order: the probe explode, the candidates,
+    # the texts pull (one per batch, running total), the dense mask
+    seen = []
+    real_fits = driver.fits
+    monkeypatch.setattr(driver, "fits", lambda nb: seen.append(nb) or real_fits(nb))
     want = rows()
-    assert want and not calls
-    monkeypatch.setattr(text, "BITSET_VOCAB_LIMIT", 8)
-    assert rows() == want and len(calls) == 1
-    monkeypatch.undo()
-    monkeypatch.setattr(lsh, "dedup_pairs", lambda *a, **k: calls.append(1) or real(*a, **k))
-    monkeypatch.setattr(text, "LOCAL_VERIFY_IDS", 1)
-    assert rows() == want and len(calls) == 2
+    assert want and calls == {"dedup_pairs": 0, "_gram_masks": 1}
+    texts, masks = seen[-2], seen[-1]
+    assert texts not in seen[:-2] and masks not in seen[:-1]
+
+    # the texts pull passes the budget, then the dense mask alone: in
+    # neither case is a mask allocated
+    for gate, n in ((texts, 1), (masks, 2)):
+        monkeypatch.setattr(driver, "fits", lambda nb, _g=gate: nb != _g and real_fits(nb))
+        assert rows() == want and calls == {"dedup_pairs": n, "_gram_masks": 1}
 
 
 # ---------------------------------------------------------------------
@@ -2355,6 +2369,7 @@ def test_jaccard_engines_match_bruteforce(ray_session, monkeypatch):
     import ray.data as rd
 
     from analiticcl_ray.pipelines import text
+    from analiticcl_ray.stages import driver
 
     texts = _parity_texts()
     tab = pa.table({"doc_id": pa.array(list(texts), pa.int64()),
@@ -2383,11 +2398,12 @@ def test_jaccard_engines_match_bruteforce(ray_session, monkeypatch):
     ref_sigs = text.minhash_signatures(ref).materialize()
     restricted = bits(_restricted_bruteforce(df, lambda i: i % 2 == 1))
     assert (1, 2) in restricted and (9, 10) in restricted
-    for limit in (2_000_000, 0):  # local tail, distributed tail
-        got = text.incremental_minhash_dedup_pairs(
-            new, ref_sigs, ref, local_pair_limit=limit
-        )
+    default = driver.DRIVER_BUDGET_BYTES
+    for budget in (default, 0):  # local tail, distributed tail
+        monkeypatch.setattr(driver, "DRIVER_BUDGET_BYTES", budget)
+        got = text.incremental_minhash_dedup_pairs(new, ref_sigs, ref)
         assert _jaccard_bits(got) == restricted
+    monkeypatch.setattr(driver, "DRIVER_BUDGET_BYTES", default)
 
     monkeypatch.setattr(text, "BITSET_VOCAB_LIMIT", 8)
     assert _jaccard_bits(text.ngram_jaccard_pairs(docs, dense_vocab_limit=0)) == everything
