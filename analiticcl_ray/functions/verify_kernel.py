@@ -26,7 +26,6 @@ from typing import Optional
 import numpy as np
 
 from ..config import DedupConfig
-from ..functions.alphabet import Normalizer
 from ..functions.kernels import pair_distance_score_np, resolve_max_distance
 from ..image.codec import decode, psnr
 
@@ -81,32 +80,3 @@ def image_pair_dup(
     pb_ = _px(bytes_b, fmt_b, key_b)
     val = psnr(pa_, pb_)
     return val >= cfg.psnr_db, val
-
-
-def verify_pair(
-    caption_a: str,
-    caption_b: str,
-    bytes_a: bytes,
-    fmt_a: str,
-    bytes_b: bytes,
-    fmt_b: str,
-    normalizer: Normalizer,
-    cfg: DedupConfig,
-    pixel_cache: Optional[dict] = None,
-    key_a: Optional[str] = None,
-    key_b: Optional[str] = None,
-) -> tuple[bool, float, float]:
-    """Full pair verdict: (is_dup, caption_score, psnr_db)."""
-    cs = caption_pair_score(
-        normalizer.normalize(caption_a),
-        normalizer.normalize(caption_b),
-        caption_a,
-        caption_b,
-        cfg,
-    )
-    if cs is None or cs < cfg.caption_score_threshold:
-        return False, -1.0 if cs is None else cs, -1.0
-    img_dup, p = image_pair_dup(
-        bytes_a, fmt_a, bytes_b, fmt_b, cfg, pixel_cache, key_a, key_b
-    )
-    return img_dup, cs, p

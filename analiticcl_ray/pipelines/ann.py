@@ -66,7 +66,7 @@ def _emb_matrix(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _hyperplane_bucket_table(batch: pa.Table, planes: np.ndarray) -> pa.Table:
-    """(bucket, vec_id) rows for random-hyperplane LSH: each vector
+    """(lsh_key, vec_id) rows for random-hyperplane LSH: each vector
     lands in one bucket per hash table, bucket key = (table << 32) |
     sign-bit code. Fully vectorized (one matmul + one bit-dot per
     table) — shared by ``cosine_dup_pairs_lsh`` and
@@ -82,7 +82,7 @@ def _hyperplane_bucket_table(batch: pa.Table, planes: np.ndarray) -> pa.Table:
         out_bucket[t * n : (t + 1) * n] = (t << 32) | codes.astype(np.int64)
     return pa.table(
         {
-            "bucket": pa.array(out_bucket, pa.int64()),
+            "lsh_key": pa.array(out_bucket, pa.int64()),
             "vec_id": pa.array(np.tile(ids, n_tables), pa.int64()),
         }
     )
@@ -300,7 +300,7 @@ def cosine_dup_pairs_lsh(
     cands = dedup_pairs(
         cooccurrence_pairs(
             embeddings.map_batches(_buckets, batch_format="pyarrow"),
-            "bucket",
+            "lsh_key",
             "vec_id",
             cap=4096,
             id_dtype="int",
@@ -667,32 +667,25 @@ def lsh_bucketed_topk(
         )
 
     # candidate dedup: per-batch drop_duplicates (combiner) + ONE
-    # integer-bucket cogroup with in-group C-speed drop_duplicates —
-    # never a Python call per pair (VERDICT r1 item 4)
-    n_cogroups = 1024
-
+    # keyed exchange with in-group C-speed drop_duplicates — never a
+    # Python call per pair (VERDICT r1 item 4)
     def _local_dedup(batch: pa.Table) -> pa.Table:
-        from ..stages.lsh import bucket_by_keys
-
         df = batch.to_pandas().drop_duplicates(["query_id", "cand_id"])
-        t = pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
-        # shared vectorized key hash (no per-row string concat)
-        t = bucket_by_keys(t, ["query_id", "cand_id"], n_cogroups)
-        return t.rename_columns(
-            ["cogroup" if c == "bucket" else c for c in t.column_names]
-        )
+        return pa.Table.from_pandas(df, preserve_index=False)
 
     def _group_dedup(group: pd.DataFrame) -> pd.DataFrame:
         return group.drop_duplicates(["query_id", "cand_id"])[
             ["query_id", "cand_id"]
         ]
 
-    cands = (
-        buckets.groupby("bucket")
+    from ..stages.exchange import exchange
+
+    cands = exchange(
+        buckets.groupby("lsh_key")
         .map_groups(_cands, batch_format="pandas")
-        .map_batches(_local_dedup, batch_format="pyarrow")
-        .groupby("cogroup")
-        .map_groups(_group_dedup, batch_format="pandas")
+        .map_batches(_local_dedup, batch_format="pyarrow"),
+        ["query_id", "cand_id"],
+        _group_dedup,
     )
 
     # exact re-rank shared with the IVF path (zero-copy Arrow broadcast

@@ -46,7 +46,6 @@ import ray.data
 from ..config import DedupConfig
 from ..stages.cc import cc_auto
 from ..stages.lsh import (
-    adaptive_cogroups,
     cooccurrence_pairs_multi,
     dedup_pairs,
     explode_band_rows,
@@ -125,11 +124,10 @@ def pairs_stage(
             batch_format="pyarrow",
         ),
     )
-    # co-group count scales with band-row volume (~bands+phash+winnow
-    # keys per corpus row): each co-group is one in-memory pandas frame.
-    # count() is free: sigs is materialized or parquet-backed.
-    keys_per_row = cfg.bands + (cfg.phash_bands if cfg.use_phash_bands else 0) + 8
-    n_cg = adaptive_cogroups(sigs.count() * keys_per_row)
+    # the exchanges are sized by the signature table's bytes, which hold
+    # every key the band rows carry; metadata, never an execution: sigs
+    # is materialized or a parquet read
+    nbytes = sigs.size_bytes()
     # caption bands/winnow/content keys and the phash bit-slices have
     # different degeneracy policies but ride ONE cogroup exchange
     # (cooccurrence_pairs_multi): the per-cogroup emission splits by
@@ -157,9 +155,9 @@ def pairs_stage(
                 "attr_maxham": cfg.phash_max_hamming,
             }
         )
-    cands = cooccurrence_pairs_multi(sources, "image_id", keep_sentinels=True, n_cogroups=n_cg)
+    cands = cooccurrence_pairs_multi(sources, "image_id", keep_sentinels=True, nbytes=nbytes)
     t_ps = time.perf_counter()
-    pairs = dedup_pairs(cands, n_cogroups=max(1024, n_cg // 8)).materialize()
+    pairs = dedup_pairs(cands, nbytes=nbytes).materialize()
     stats: dict = {"t_pair_shuffle_s": _since(t_ps)}
     # one summary pass over the (edge-list-sized) materialized pairs
     # tallies the sentinels and counts the capped pairs; sentinel rows

@@ -16,17 +16,7 @@ import pyarrow as pa
 
 import ray.data
 
-from ..stages.lsh import bucket_by_keys
-
-# cogroup bucket count: one pandas frame per bucket inside map_groups;
-# 256 buckets keeps each bucket ~1/256 of the (partial-combined) table
-# (scale the constant with input size the way stages/lsh.adaptive_cogroups
-# does if events ever outgrow it)
-_SESSION_COGROUPS = 256
-
-
-def _bucket_by(batch: pa.Table, key_cols: list[str]) -> pa.Table:
-    return bucket_by_keys(batch, key_cols, _SESSION_COGROUPS)
+from ..stages.exchange import exchange
 
 
 def _merge_window_partials(partial: "ray.data.Dataset") -> "ray.data.Dataset":
@@ -52,14 +42,7 @@ def _merge_window_partials(partial: "ray.data.Dataset") -> "ray.data.Dataset":
             None
         )
 
-    return (
-        partial.map_batches(
-            lambda t: _bucket_by(t, ["user_id", "window_start"]),
-            batch_format="pyarrow",
-        )
-        .groupby("bucket")
-        .map_groups(_merge_bucket, batch_format="pandas")
-    )
+    return exchange(partial, ["user_id", "window_start"], _merge_bucket)
 
 
 def tumbling_window_agg(
@@ -166,18 +149,15 @@ def sessionize(
             None
         )
 
-    return (
-        events.select_columns(["user_id", "ts", "value"])
-        .map_batches(lambda t: _bucket_by(t, ["user_id"]), batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(_sessions_bucket, batch_format="pandas")
+    return exchange(
+        events.select_columns(["user_id", "ts", "value"]), ["user_id"], _sessions_bucket
     )
 
 
 def _tag_events(batch: pa.Table) -> pa.Table:
     """Events as the left side of a keyed temporal join: (key, t_us,
     side=0) plus payload columns padded to the shared schema."""
-    t = pa.table(
+    return pa.table(
         {
             "key": batch["user_id"],
             # normalize the unit BEFORE dropping to int64: a
@@ -194,12 +174,11 @@ def _tag_events(batch: pa.Table) -> pa.Table:
             ),
         }
     )
-    return bucket_by_keys(t, ["key"], _SESSION_COGROUPS)
 
 
 def _tag_orders(batch: pa.Table) -> pa.Table:
     """Orders as the right side of a keyed temporal join (side=1)."""
-    t = pa.table(
+    return pa.table(
         {
             "key": batch["o_custkey"],
             "t_us": batch["o_orderdate"].cast(pa.timestamp("us")).cast(pa.int64()),
@@ -210,23 +189,6 @@ def _tag_orders(batch: pa.Table) -> pa.Table:
             "okey": batch["o_orderkey"],
             "price": batch["o_totalprice"],
         }
-    )
-    return bucket_by_keys(t, ["key"], _SESSION_COGROUPS)
-
-
-def _tagged_union(
-    events: "ray.data.Dataset", orders: "ray.data.Dataset"
-) -> "ray.data.Dataset":
-    """Both sides of an events⋈orders temporal join through ONE
-    bucket-hash shuffle (sides tagged, shared slim schema)."""
-    return (
-        events.select_columns(["event_id", "user_id", "ts"])
-        .map_batches(_tag_events, batch_format="pyarrow")
-        .union(
-            orders.select_columns(
-                ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"]
-            ).map_batches(_tag_orders, batch_format="pyarrow")
-        )
     )
 
 
@@ -243,10 +205,8 @@ def asof_join_orders(
     inside each bucket a single ``pd.merge_asof(by=key)`` — a C-speed
     sort-merge — resolves every key in the bucket at once. The
     partitioning assumption is the usual cogroup one: all rows for a
-    key fit in one bucket frame (keys are hashed across
-    ``_SESSION_COGROUPS`` buckets, so a bucket holds ~1/256 of both
-    sides; scale the constant like stages/lsh.adaptive_cogroups for
-    bigger inputs). Ties on order date are broken toward the highest
+    key fit in one bucket frame (stages/exchange.py sizes the group
+    count). Ties on order date are broken toward the highest
     o_orderkey — deterministic, matching the SQL oracle's
     ``ORDER BY o_orderdate DESC, o_orderkey DESC`` tie-break."""
 
@@ -286,10 +246,19 @@ def asof_join_orders(
             preserve_index=False,
         ).replace_schema_metadata(None)
 
-    return (
-        _tagged_union(events, orders)
-        .groupby("bucket")
-        .map_groups(_asof_bucket, batch_format="pandas")
+    # both sides through ONE bucket-hash shuffle (sides tagged, shared
+    # slim schema)
+    return exchange(
+        [
+            events.select_columns(["event_id", "user_id", "ts"]).map_batches(
+                _tag_events, batch_format="pyarrow"
+            ),
+            orders.select_columns(
+                ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"]
+            ).map_batches(_tag_orders, batch_format="pyarrow"),
+        ],
+        ["key"],
+        _asof_bucket,
     )
 
 
@@ -314,8 +283,8 @@ def range_join_repeat_orders(
     construction)."""
     win_us = int(window_days) * 86_400 * 1_000_000
 
-    def _bucketize(batch: pa.Table) -> pa.Table:
-        t = pa.table(
+    def _slim(batch: pa.Table) -> pa.Table:
+        return pa.table(
             {
                 "key": batch["o_custkey"],
                 # unit-explicit: the absolute gap feeds the window test,
@@ -326,7 +295,6 @@ def range_join_repeat_orders(
                 "okey": batch["o_orderkey"],
             }
         )
-        return bucket_by_keys(t, ["key"], _SESSION_COGROUPS)
 
     empty = pa.table(
         {
@@ -365,11 +333,12 @@ def range_join_repeat_orders(
             preserve_index=False,
         ).replace_schema_metadata(None)
 
-    return (
-        orders.select_columns(["o_orderkey", "o_custkey", "o_orderdate"])
-        .map_batches(_bucketize, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(_range_bucket, batch_format="pandas")
+    return exchange(
+        orders.select_columns(["o_orderkey", "o_custkey", "o_orderdate"]).map_batches(
+            _slim, batch_format="pyarrow"
+        ),
+        ["key"],
+        _range_bucket,
     )
 
 
@@ -406,11 +375,9 @@ def event_transitions(events: "ray.data.Dataset") -> "ray.data.Dataset":
 
     def _to_us(batch: pa.Table) -> pa.Table:
         # timestamp[us] -> epoch microseconds, zero-copy-ish Arrow cast
-        t = batch.select(["user_id", "event_id", "event_type"])
-        t = t.append_column(
+        return batch.select(["user_id", "event_id", "event_type"]).append_column(
             "t_us", batch["ts"].cast(pa.timestamp("us")).cast(pa.int64())
         )
-        return _bucket_by(t, ["user_id"])
 
     def _merge_bucket(group: pd.DataFrame) -> pa.Table:
         out = (
@@ -423,18 +390,14 @@ def event_transitions(events: "ray.data.Dataset") -> "ray.data.Dataset":
             None
         )
 
-    return (
-        events.select_columns(["user_id", "ts", "event_id", "event_type"])
-        .map_batches(_to_us, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(_pairs_bucket, batch_format="pandas")
-        .map_batches(
-            lambda t: _bucket_by(t, ["src_type", "dst_type"]),
-            batch_format="pyarrow",
-        )
-        .groupby("bucket")
-        .map_groups(_merge_bucket, batch_format="pandas")
+    pairs = exchange(
+        events.select_columns(["user_id", "ts", "event_id", "event_type"]).map_batches(
+            _to_us, batch_format="pyarrow"
+        ),
+        ["user_id"],
+        _pairs_bucket,
     )
+    return exchange(pairs, ["src_type", "dst_type"], _merge_bucket)
 
 
 def user_activity_stats(events: "ray.data.Dataset") -> "ray.data.Dataset":
@@ -451,11 +414,9 @@ def user_activity_stats(events: "ray.data.Dataset") -> "ray.data.Dataset":
 
     def _to_us(batch: pa.Table) -> pa.Table:
         # timestamp[us] -> epoch microseconds, zero-copy-ish Arrow cast
-        t = batch.select(["user_id", "event_id", "event_type"])
-        t = t.append_column(
+        return batch.select(["user_id", "event_id", "event_type"]).append_column(
             "t_us", batch["ts"].cast(pa.timestamp("us")).cast(pa.int64())
         )
-        return _bucket_by(t, ["user_id"])
 
     def _stats_bucket(group: pd.DataFrame) -> pa.Table:
         g = group.sort_values(
@@ -488,11 +449,12 @@ def user_activity_stats(events: "ray.data.Dataset") -> "ray.data.Dataset":
             None
         )
 
-    return (
-        events.select_columns(["user_id", "ts", "event_id", "event_type"])
-        .map_batches(_to_us, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(_stats_bucket, batch_format="pandas")
+    return exchange(
+        events.select_columns(["user_id", "ts", "event_id", "event_type"]).map_batches(
+            _to_us, batch_format="pyarrow"
+        ),
+        ["user_id"],
+        _stats_bucket,
     )
 
 
@@ -527,9 +489,7 @@ def funnel_counts(
                 "event_type": df["event_type"],
             }
         )
-        return _bucket_by(
-            pa.Table.from_pandas(out, preserve_index=False), ["user_id"]
-        )
+        return pa.Table.from_pandas(out, preserve_index=False)
 
     def _funnel_bucket(group: pd.DataFrame) -> pa.Table:
         prev: pd.Series | None = None  # per-user time of previous stage
@@ -552,10 +512,8 @@ def funnel_counts(
             }
         )
 
-    partials = (
-        events.map_batches(_project, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(_funnel_bucket, batch_format="pandas")
+    partials = exchange(
+        events.map_batches(_project, batch_format="pyarrow"), ["user_id"], _funnel_bucket
     )
     agg = (
         partials.groupby(["stage", "step"])
@@ -591,9 +549,7 @@ def retention_cohorts(events: "ray.data.Dataset") -> "ray.data.Dataset":
             )
             .drop_duplicates()
         )
-        return _bucket_by(
-            pa.Table.from_pandas(out, preserve_index=False), ["user_id"]
-        )
+        return pa.Table.from_pandas(out, preserve_index=False)
 
     def _cohort_bucket(group: pd.DataFrame) -> pa.Table:
         g = group.drop_duplicates(["user_id", "day"])
@@ -614,10 +570,8 @@ def retention_cohorts(events: "ray.data.Dataset") -> "ray.data.Dataset":
             None
         )
 
-    partials = (
-        events.map_batches(_days, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(_cohort_bucket, batch_format="pandas")
+    partials = exchange(
+        events.map_batches(_days, batch_format="pyarrow"), ["user_id"], _cohort_bucket
     )
 
     def _rename(batch: pa.Table) -> pa.Table:

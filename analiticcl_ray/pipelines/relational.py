@@ -31,6 +31,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..stages.exchange import exchange
 from ..stages.pools import actor_map
 
 
@@ -270,7 +271,6 @@ def shipping_priority(
     segment: str = "BUILDING",
     cutoff: str = "1995-03-15",
     k: int = 10,
-    n_cogroups: int | None = None,
 ) -> "ray.data.Dataset":
     """TPC-H Q3-shaped shipping priority: top-``k`` unshipped orders of
     one market segment by outstanding revenue — the BIG-BIG join this
@@ -285,10 +285,7 @@ def shipping_priority(
     in ONE cogroup where an inner pandas merge + per-bucket top-k
     partial runs at C speed. Only ≤ k rows per bucket reach the
     constant-sized final merge. No side ever materializes on the
-    driver; the bucket count scales via ``adaptive_cogroups``."""
-    from ..stages.lsh import adaptive_cogroups, bucket_by_keys
-
-    nb = n_cogroups or adaptive_cogroups(None)
+    driver."""
     cut = np.datetime64(pd.Timestamp(cutoff), "us")
     cdf = customer.select(["c_custkey", "c_mktsegment"]).to_pandas()
     keys = np.sort(
@@ -342,12 +339,7 @@ def shipping_priority(
     )
 
     def _align(t: pa.Table) -> pa.Table:
-        t = t.select(["o_orderkey", "o_orderdate", "o_orderpriority", "rev_c"])
-        return bucket_by_keys(t, ["o_orderkey"], nb)
-
-    both = line_side.map_batches(_align, batch_format="pyarrow").union(
-        order_side.map_batches(_align, batch_format="pyarrow")
-    )
+        return t.select(["o_orderkey", "o_orderdate", "o_orderpriority", "rev_c"])
 
     def _topk(df: pd.DataFrame) -> pd.DataFrame:
         return df.sort_values(
@@ -379,8 +371,14 @@ def shipping_priority(
         return _emit_q3(_topk(df).reset_index(drop=True))
 
     return (
-        both.groupby("bucket")
-        .map_groups(_join_bucket, batch_format="pandas")
+        exchange(
+            [
+                line_side.map_batches(_align, batch_format="pyarrow"),
+                order_side.map_batches(_align, batch_format="pyarrow"),
+            ],
+            ["o_orderkey"],
+            _join_bucket,
+        )
         .repartition(1)
         .map_batches(_final, batch_format="pandas", batch_size=None)
     )
@@ -460,7 +458,6 @@ def local_supplier_volume(
     r_name: str = "ASIA",
     date_lo: str = "1995-01-01",
     date_hi: str = "1997-01-01",
-    n_cogroups: int | None = None,
 ) -> "ray.data.Dataset":
     """TPC-H Q5-shaped local supplier volume: per nation of one region,
     revenue from lineitems whose SUPPLIER and ordering CUSTOMER share
@@ -477,9 +474,6 @@ def local_supplier_volume(
     (the shipping_priority big-big idiom); the lineitem side is
     per-batch pre-combined, and only ≤|nations| partial rows per
     bucket reach the constant-sized final merge."""
-    from ..stages.lsh import adaptive_cogroups, bucket_by_keys
-
-    nb = n_cogroups or adaptive_cogroups(None)
     lo = np.datetime64(pd.Timestamp(date_lo), "us")
     hi = np.datetime64(pd.Timestamp(date_hi), "us")
 
@@ -513,16 +507,6 @@ def local_supplier_volume(
         _LineSupplierSide, supp_ref,
     )
 
-    both = order_side.map_batches(
-        lambda t: bucket_by_keys(t, ["o_orderkey"], nb),
-        batch_format="pyarrow",
-    ).union(
-        line_side.map_batches(
-            lambda t: bucket_by_keys(t, ["o_orderkey"], nb),
-            batch_format="pyarrow",
-        )
-    )
-
     def _join_bucket(g: pd.DataFrame) -> pa.Table:
         rv = g["rev_c"]
         o = g.loc[rv.isna(), ["o_orderkey", "nat_key"]]
@@ -548,8 +532,7 @@ def local_supplier_volume(
         return _pa_clean(g[["n_name", "n_items", "revenue_c"]])
 
     return (
-        both.groupby("bucket")
-        .map_groups(_join_bucket, batch_format="pandas")
+        exchange([order_side, line_side], ["o_orderkey"], _join_bucket)
         .repartition(1)
         .map_batches(_final, batch_format="pandas", batch_size=None)
     )

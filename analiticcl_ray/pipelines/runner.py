@@ -184,7 +184,9 @@ def run_dedup_job(
         return _finish()
 
     # ---- stages 2-4: pairs, verified, clusters (resumable per stage) -
-    sigs = ray.data.read_parquet(sig_root).select_columns(dedup.signature_columns(cfg))
+    # columns= (not select_columns) keeps the read's size estimate in its
+    # metadata, which sizes the pairs stage's exchanges without a read
+    sigs = ray.data.read_parquet(sig_root, columns=dedup.signature_columns(cfg))
     corpus = ray.data.read_parquet(files)
 
     def _read(stage: str) -> "ray.data.Dataset":

@@ -28,20 +28,12 @@ import ray.data
 from ..config import DedupConfig
 from ..functions.alphabet import Normalizer, simple_alphabet, shingle_keys_from_norm
 from ..stages import driver
-from ..stages.lsh import bucket_by_keys
+from ..stages.exchange import exchange
 from ..stages.pools import actor_map
 from ..stages.signatures import splitmix64
 
 _WS = re.compile(r"\s+")
 _U64 = np.uint64
-
-#: cogroup count for the small-aggregate merges (exact_dedup,
-#: token_counts, anagram_groups, gram df): one pandas frame per bucket
-#: inside map_groups, one Python call per bucket. The merge inputs are
-#: per-block partials (≈ distinct keys per block), so 256 buckets keeps
-#: each frame small; raise alongside stages/lsh.adaptive_cogroups if a
-#: key space ever outgrows it.
-_MERGE_COGROUPS = 256
 
 #: RE2's ``\s`` (as DuckDB uses it) is the ASCII class [\t\n\f\r ] — it
 #: does NOT match Unicode whitespace (NBSP, U+2028, NEL, vertical tab),
@@ -125,14 +117,10 @@ def exact_dedup(docs: "ray.data.Dataset") -> "ray.data.Dataset":
         )
         return _pa_clean(out)
 
-    return (
-        docs.map_batches(_partial, batch_format="pyarrow")
-        .map_batches(
-            lambda t: bucket_by_keys(t, ["text"], _MERGE_COGROUPS),
-            batch_format="pyarrow",
-        )
-        .groupby("bucket")
-        .map_groups(_merge_bucket, batch_format="pandas")
+    return exchange(
+        docs.map_batches(_partial, batch_format="pyarrow"),
+        ["text"],
+        _merge_bucket,
     )
 
 
@@ -420,14 +408,10 @@ def inverted_index(docs: "ray.data.Dataset") -> "ray.data.Dataset":
         agg["n_docs"] = agg["n_docs"].astype("int64")
         return _pa_clean(agg)
 
-    return (
-        docs.map_batches(_partial, batch_format="pyarrow")
-        .map_batches(
-            lambda t: bucket_by_keys(t, ["token"], _MERGE_COGROUPS),
-            batch_format="pyarrow",
-        )
-        .groupby("bucket")
-        .map_groups(_merge, batch_format="pandas")
+    return exchange(
+        docs.map_batches(_partial, batch_format="pyarrow"),
+        ["token"],
+        _merge,
     )
 
 
@@ -465,14 +449,10 @@ def top_docs_per_group(
         )
         return _pa_clean(out)
 
-    return (
-        docs.map_batches(_partial, batch_format="pyarrow")
-        .map_batches(
-            lambda t: bucket_by_keys(t, [group_col], _MERGE_COGROUPS),
-            batch_format="pyarrow",
-        )
-        .groupby("bucket")
-        .map_groups(_final, batch_format="pandas")
+    return exchange(
+        docs.map_batches(_partial, batch_format="pyarrow"),
+        [group_col],
+        _final,
     )
 
 
@@ -535,14 +515,10 @@ def token_counts(docs: "ray.data.Dataset") -> "ray.data.Dataset":
             }
         )
 
-    return (
-        docs.map_batches(_partial, batch_format="pyarrow")
-        .map_batches(
-            lambda t: bucket_by_keys(t, ["token"], _MERGE_COGROUPS),
-            batch_format="pyarrow",
-        )
-        .groupby("bucket")
-        .map_groups(_merge_token_counts, batch_format="pandas")
+    return exchange(
+        docs.map_batches(_partial, batch_format="pyarrow"),
+        ["token"],
+        _merge_token_counts,
     )
 
 
@@ -606,14 +582,10 @@ def cooccurrence_counts(
         )
         return _pa_clean(out)
 
-    return (
-        docs.map_batches(_partial, batch_format="pyarrow")
-        .map_batches(
-            lambda t: bucket_by_keys(t, ["w1", "w2"], _MERGE_COGROUPS),
-            batch_format="pyarrow",
-        )
-        .groupby("bucket")
-        .map_groups(_merge, batch_format="pandas")
+    return exchange(
+        docs.map_batches(_partial, batch_format="pyarrow"),
+        ["w1", "w2"],
+        _merge,
     )
 
 
@@ -647,14 +619,10 @@ def token_counts_re(
             }
         )
 
-    return (
-        docs.select_columns(["text"]).map_batches(_partial, batch_format="pyarrow")
-        .map_batches(
-            lambda t: bucket_by_keys(t, ["token"], _MERGE_COGROUPS),
-            batch_format="pyarrow",
-        )
-        .groupby("bucket")
-        .map_groups(_merge_token_counts, batch_format="pandas")
+    return exchange(
+        docs.select_columns(["text"]).map_batches(_partial, batch_format="pyarrow"),
+        ["token"],
+        _merge_token_counts,
     )
 
 
@@ -698,14 +666,10 @@ def anagram_groups(docs: "ray.data.Dataset", min_words: int = 1) -> "ray.data.Da
         g["n_words"] = g["n_words"].astype("int64")
         return _pa_clean(g[["anakey", "n_words", "words"]])
 
-    return (
-        docs.map_batches(_partial, batch_format="pyarrow")
-        .map_batches(
-            lambda t: bucket_by_keys(t, ["anakey"], _MERGE_COGROUPS),
-            batch_format="pyarrow",
-        )
-        .groupby("bucket")
-        .map_groups(_merge_bucket, batch_format="pandas")
+    return exchange(
+        docs.map_batches(_partial, batch_format="pyarrow"),
+        ["anakey"],
+        _merge_bucket,
     )
 
 
@@ -827,15 +791,10 @@ def char_ngram_counts(docs: "ray.data.Dataset", n: int = 3) -> "ray.data.Dataset
         out["cnt"] = out["cnt"].astype("int64")
         return _pa_clean(out)
 
-    return (
-        docs.select_columns(["text"])
-        .map_batches(_partial, batch_format="pyarrow")
-        .map_batches(
-            lambda t: bucket_by_keys(t, ["gram"], _MERGE_COGROUPS),
-            batch_format="pyarrow",
-        )
-        .groupby("bucket")
-        .map_groups(_merge_bucket, batch_format="pandas")
+    return exchange(
+        docs.select_columns(["text"]).map_batches(_partial, batch_format="pyarrow"),
+        ["gram"],
+        _merge_bucket,
     )
 
 
@@ -1049,10 +1008,10 @@ def _verify_jaccard(
 
     masks_ds = docs.map_batches(_mask_rows, batch_format="pyarrow")
     if attach_method != "broadcast":
-        # the cogroup join counts its side for adaptive bucket sizing
-        # and then consumes it, after auto's pull past the budget read
-        # it once more — materialize the (slim) mask table so the
-        # mask-construction pass runs once
+        # the cogroup join reads its side's schema and then consumes
+        # it, after auto's pull past the budget read it once more —
+        # materialize the (slim) mask table so the mask-construction
+        # pass runs once
         masks_ds = masks_ds.materialize()
 
     def _verify(batch: pa.Table) -> pa.Table:
@@ -1092,14 +1051,8 @@ def _gram_df_table(docs: "ray.data.Dataset", n: int) -> pa.Table:
         return _pa_clean(out)
 
     out = pa.Table.from_pandas(
-        (
-            docs.map_batches(_gram_rows, batch_format="pyarrow")
-            .map_batches(
-                lambda t: bucket_by_keys(t, ["gram"], _MERGE_COGROUPS),
-                batch_format="pyarrow",
-            )
-            .groupby("bucket")
-            .map_groups(_merge_bucket, batch_format="pandas")
+        exchange(
+            docs.map_batches(_gram_rows, batch_format="pyarrow"), ["gram"], _merge_bucket
         ).to_pandas(),
         preserve_index=False,
     ).combine_chunks()
@@ -1289,7 +1242,6 @@ def decontaminate(
     train: "ray.data.Dataset",
     eval_ds: "ray.data.Dataset",
     n: int = 16,
-    n_cogroups: int = 1024,
 ) -> "ray.data.Dataset":
     """Test-set decontamination (the GPT-3-style n-gram overlap check):
     for every training document, count the distinct char-``n``-grams it
@@ -1313,14 +1265,8 @@ def decontaminate(
                 gs = _gram_list(t, n)
                 ids.extend([d] * len(gs))
                 grams.extend(gs)
-            h = pd.util.hash_pandas_object(
-                pd.Series(grams, dtype="object"), index=False
-            ).to_numpy()
             return pa.table(
                 {
-                    "bucket": pa.array(
-                        (h % np.uint64(n_cogroups)).astype(np.int64), pa.int64()
-                    ),
                     "gram": pa.array(grams, pa.string()),
                     "side": pa.array(
                         np.full(len(ids), side, dtype=np.int8), pa.int8()
@@ -1331,13 +1277,10 @@ def decontaminate(
 
         return _f
 
-    both = train.select_columns(["doc_id", "text"]).map_batches(
-        _rows(0), batch_format="pyarrow"
-    ).union(
-        eval_ds.select_columns(["doc_id", "text"]).map_batches(
-            _rows(1), batch_format="pyarrow"
-        )
-    )
+    both = [
+        train.select_columns(["doc_id", "text"]).map_batches(_rows(0), batch_format="pyarrow"),
+        eval_ds.select_columns(["doc_id", "text"]).map_batches(_rows(1), batch_format="pyarrow"),
+    ]
 
     def _shared(group: pd.DataFrame) -> pa.Table:
         ev = group.loc[group["side"] == 1, "gram"].unique()
@@ -1354,8 +1297,7 @@ def decontaminate(
         return batch.rename_columns(["doc_id", "n_shared"])
 
     return (
-        both.groupby("bucket")
-        .map_groups(_shared, batch_format="pandas")
+        exchange(both, ["gram"], _shared)
         .groupby("doc_id")
         .sum("n_shared")
         .map_batches(_sum_rename, batch_format="pyarrow")
@@ -2280,9 +2222,7 @@ def chunk_docs(docs: "ray.data.Dataset", window: int = 64) -> "ray.data.Dataset"
     return docs.map_batches(_chunks, batch_format="pyarrow")
 
 
-def chunk_dedup(
-    docs: "ray.data.Dataset", window: int = 16, n_cogroups: int | None = None
-) -> "ray.data.Dataset":
+def chunk_dedup(docs: "ray.data.Dataset", window: int = 16) -> "ray.data.Dataset":
     """Sub-document exact dedup (the ExactSubstr idea of Lee et al.,
     "Deduplicating Training Data Makes Language Models Better", at
     fixed ``window``-token chunk granularity): an occurrence of a chunk
@@ -2301,9 +2241,6 @@ def chunk_dedup(
     decision + reassembly) — unavoidable for global-first semantics
     with reconstruction; counts-only consumers can drop ``text_kept``
     upstream."""
-    from ..stages.lsh import adaptive_cogroups, bucket_by_keys
-
-    nb = n_cogroups or adaptive_cogroups(None)
     chunks = chunk_docs(docs, window=window)
 
     def _flag(g: pd.DataFrame) -> pa.Table:
@@ -2316,14 +2253,7 @@ def chunk_dedup(
         ]
         return _pa_clean(out)
 
-    flagged = (
-        chunks.map_batches(
-            lambda t: bucket_by_keys(t, ["chunk_text"], nb),
-            batch_format="pyarrow",
-        )
-        .groupby("bucket")
-        .map_groups(_flag, batch_format="pandas")
-    )
+    flagged = exchange(chunks, ["chunk_text"], _flag)
 
     def _assemble(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(["doc_id", "chunk_id"], kind="mergesort")
@@ -2340,14 +2270,7 @@ def chunk_dedup(
             out[c] = out[c].astype(np.int64)
         return _pa_clean(out)
 
-    return (
-        flagged.map_batches(
-            lambda t: bucket_by_keys(t, ["doc_id"], nb),
-            batch_format="pyarrow",
-        )
-        .groupby("bucket")
-        .map_groups(_assemble, batch_format="pandas")
-    )
+    return exchange(flagged, ["doc_id"], _assemble)
 
 
 def pack_sequences(
@@ -2380,20 +2303,20 @@ def pack_sequences(
             {
                 "doc_id": pa.array(ids, pa.int64()),
                 "n_tokens": pa.array(n, pa.int64()),
-                "bucket": pa.array(ids >> np.int64(bucket_shift), pa.int64()),
+                "range_key": pa.array(ids >> np.int64(bucket_shift), pa.int64()),
             }
         )
 
     counts = docs.map_batches(_counts, batch_format="pyarrow").materialize()
 
     bs = (
-        counts.groupby("bucket").sum("n_tokens").to_pandas()
+        counts.groupby("range_key").sum("n_tokens").to_pandas()
         .rename(columns={"sum(n_tokens)": "s"})
-        .sort_values("bucket")
+        .sort_values("range_key")
     )
     base = bs["s"].cumsum().shift(1, fill_value=0).astype(np.int64)
     offsets_ref = ray.put(
-        dict(zip(bs["bucket"].to_numpy(dtype=np.int64), base.to_numpy()))
+        dict(zip(bs["range_key"].to_numpy(dtype=np.int64), base.to_numpy()))
     )
     L = np.int64(seq_len)
 
@@ -2402,7 +2325,7 @@ def pack_sequences(
         g = group.sort_values("doc_id", kind="mergesort")
         n = g["n_tokens"].to_numpy(dtype=np.int64)
         off = (
-            np.int64(offsets[int(g["bucket"].iloc[0])])
+            np.int64(offsets[int(g["range_key"].iloc[0])])
             + np.cumsum(n)
             - n
         )
@@ -2416,7 +2339,7 @@ def pack_sequences(
             }
         )
 
-    return counts.groupby("bucket").map_groups(_assign)
+    return counts.groupby("range_key").map_groups(_assign)
 
 
 def prep_corpus(
@@ -2469,20 +2392,13 @@ def prep_corpus(
         )
         return _pa_clean(g.loc[keep, ["doc_id", "text", "source", "n_tokens"]])
 
-    kept2 = (
-        kept1.map_batches(
-            lambda t: bucket_by_keys(t, ["text"], _MERGE_COGROUPS),
-            batch_format="pyarrow",
-        )
-        .groupby("bucket")
-        .map_groups(_dedup_bucket, batch_format="pandas")
-        .materialize()  # consumed twice: near-dup pairs + the slim join
-    )
+    # materialized: consumed twice, by the near-dup pairs and the slim join
+    kept2 = exchange(kept1, ["text"], _dedup_bucket).materialize()
 
     keep3 = near_dup_keep(kept2, n=n, threshold=threshold)
 
     def _slim_side(t: pa.Table) -> pa.Table:
-        out = pa.table(
+        return pa.table(
             {
                 "doc_id": t["doc_id"],
                 "source": t["source"],
@@ -2490,10 +2406,9 @@ def prep_corpus(
                 "keep": pa.array([None] * len(t), pa.bool_()),
             }
         )
-        return bucket_by_keys(out, ["doc_id"], _MERGE_COGROUPS)
 
     def _keep_side(t: pa.Table) -> pa.Table:
-        out = pa.table(
+        return pa.table(
             {
                 "doc_id": t["doc_id"],
                 "source": pa.array([None] * len(t), pa.string()),
@@ -2501,11 +2416,6 @@ def prep_corpus(
                 "keep": t["keep"],
             }
         )
-        return bucket_by_keys(out, ["doc_id"], _MERGE_COGROUPS)
-
-    both = kept2.map_batches(_slim_side, batch_format="pyarrow").union(
-        keep3.map_batches(_keep_side, batch_format="pyarrow")
-    )
 
     def _rollup_bucket(g: pd.DataFrame) -> pa.Table:
         left = g.loc[g["source"].notna(), ["doc_id", "source", "n_tokens"]]
@@ -2539,8 +2449,14 @@ def prep_corpus(
     # the rollup is ≤ 3·|sources| rows per bucket — merge the partials
     # on one task (repartition(1)) instead of a groupby shuffle
     return (
-        both.groupby("bucket")
-        .map_groups(_rollup_bucket, batch_format="pandas")
+        exchange(
+            [
+                kept2.map_batches(_slim_side, batch_format="pyarrow"),
+                keep3.map_batches(_keep_side, batch_format="pyarrow"),
+            ],
+            ["doc_id"],
+            _rollup_bucket,
+        )
         .repartition(1)
         .map_batches(_final_merge, batch_format="pandas", batch_size=None)
     )
@@ -2598,30 +2514,22 @@ def dup_rate_by_source(
     keep = near_dup_keep(docs, n=n, threshold=threshold)
 
     def _keep_side(t: pa.Table) -> pa.Table:
-        out = pa.table(
+        return pa.table(
             {
                 "doc_id": t["doc_id"],
                 "dropped": pc.cast(pc.invert(t["keep"]), pa.int64()),
                 "source": pa.array([None] * len(t), pa.string()),
             }
         )
-        return bucket_by_keys(out, ["doc_id"], _MERGE_COGROUPS)
 
     def _src_side(t: pa.Table) -> pa.Table:
-        out = pa.table(
+        return pa.table(
             {
                 "doc_id": t["doc_id"],
                 "dropped": pa.array([None] * len(t), pa.int64()),
                 "source": t["source"],
             }
         )
-        return bucket_by_keys(out, ["doc_id"], _MERGE_COGROUPS)
-
-    both = keep.map_batches(_keep_side, batch_format="pyarrow").union(
-        docs.select_columns(["doc_id", "source"]).map_batches(
-            _src_side, batch_format="pyarrow"
-        )
-    )
 
     def _join(g: pd.DataFrame) -> pa.Table:
         left = g.loc[g["source"].isna(), ["doc_id", "dropped"]]
@@ -2638,9 +2546,14 @@ def dup_rate_by_source(
         part["n_dropped"] = part["n_dropped"].astype(np.int64)
         return _pa_clean(part)
 
+    both = [
+        keep.map_batches(_keep_side, batch_format="pyarrow"),
+        docs.select_columns(["doc_id", "source"]).map_batches(
+            _src_side, batch_format="pyarrow"
+        ),
+    ]
     agg = (
-        both.groupby("bucket")
-        .map_groups(_join, batch_format="pandas")
+        exchange(both, ["doc_id"], _join)
         .groupby("source")
         .sum(["n_docs", "n_dropped"])
         .to_pandas()  # |distinct sources| rows
@@ -2687,15 +2600,10 @@ def doc_freq(docs: "ray.data.Dataset", min_df: int = 1) -> "ray.data.Dataset":
         out["idf"] = np.log(n_docs / out["df"].to_numpy())
         return _pa_clean(out)
 
-    return (
-        docs.select_columns(["doc_id", "text"])
-        .map_batches(_partial, batch_format="pyarrow")
-        .map_batches(
-            lambda t: bucket_by_keys(t, ["token"], _MERGE_COGROUPS),
-            batch_format="pyarrow",
-        )
-        .groupby("bucket")
-        .map_groups(_merge_bucket, batch_format="pandas")
+    return exchange(
+        docs.select_columns(["doc_id", "text"]).map_batches(_partial, batch_format="pyarrow"),
+        ["token"],
+        _merge_bucket,
     )
 
 
@@ -2732,14 +2640,7 @@ def tfidf_top_terms(docs: "ray.data.Dataset", k: int = 5) -> "ray.data.Dataset":
         )
         return _pa_clean(out[["doc_id", "token", "tf", "df", "tfidf"]])
 
-    scored = (
-        tf_rows.map_batches(
-            lambda t: bucket_by_keys(t, ["token"], _MERGE_COGROUPS),
-            batch_format="pyarrow",
-        )
-        .groupby("bucket")
-        .map_groups(_join_bucket, batch_format="pandas")
-    )
+    scored = exchange(tf_rows, ["token"], _join_bucket)
 
     def _topk_bucket(group: pd.DataFrame) -> pa.Table:
         out = (
@@ -2753,14 +2654,7 @@ def tfidf_top_terms(docs: "ray.data.Dataset", k: int = 5) -> "ray.data.Dataset":
         )
         return _pa_clean(out[["doc_id", "token", "tf", "df", "tfidf"]])
 
-    return (
-        scored.map_batches(
-            lambda t: bucket_by_keys(t, ["doc_id"], _MERGE_COGROUPS),
-            batch_format="pyarrow",
-        )
-        .groupby("bucket")
-        .map_groups(_topk_bucket, batch_format="pandas")
-    )
+    return exchange(scored, ["doc_id"], _topk_bucket)
 
 
 # ---------------------------------------------------------------------
@@ -2838,15 +2732,10 @@ def lm_counts(docs: "ray.data.Dataset") -> "ray.data.Dataset":
         out = group.groupby("key", sort=False).agg(cnt=("cnt", "sum")).reset_index()
         return _pa_clean(out)
 
-    return (
-        docs.select_columns(["doc_id", "text"])
-        .map_batches(_partial, batch_format="pyarrow")
-        .map_batches(
-            lambda t: bucket_by_keys(t, ["key"], _MERGE_COGROUPS),
-            batch_format="pyarrow",
-        )
-        .groupby("bucket")
-        .map_groups(_merge, batch_format="pandas")
+    return exchange(
+        docs.select_columns(["doc_id", "text"]).map_batches(_partial, batch_format="pyarrow"),
+        ["key"],
+        _merge,
     )
 
 
@@ -3328,14 +3217,10 @@ def normalized_dedup(docs: "ray.data.Dataset") -> "ray.data.Dataset":
         )
         return _pa_clean(out)
 
-    return (
-        docs.map_batches(_partial, batch_format="pyarrow")
-        .map_batches(
-            lambda t: bucket_by_keys(t, ["norm_text"], _MERGE_COGROUPS),
-            batch_format="pyarrow",
-        )
-        .groupby("bucket")
-        .map_groups(_merge, batch_format="pandas")
+    return exchange(
+        docs.map_batches(_partial, batch_format="pyarrow"),
+        ["norm_text"],
+        _merge,
     )
 
 
@@ -3448,7 +3333,6 @@ def incremental_dedup(
     incoming: "ray.data.Dataset",
     snapshot: "ray.data.Dataset",
     m_bits: int = 1 << 23,
-    n_cogroups: int = _MERGE_COGROUPS,
 ) -> "ray.data.Dataset":
     """Incremental corpus dedup: flag incoming documents whose exact
     text already exists in a previously-deduped snapshot corpus — the
@@ -3491,10 +3375,6 @@ def incremental_dedup(
 
         return _f
 
-    both = snap_hits.map_batches(_tag(0), batch_format="pyarrow").union(
-        inc_hits.map_batches(_tag(1), batch_format="pyarrow")
-    )
-
     def _join(group: pd.DataFrame) -> pa.Table:
         snap = group[group["side"] == 0].groupby("text")["doc_id"].min()
         inc = group[group["side"] == 1]
@@ -3508,13 +3388,13 @@ def incremental_dedup(
             )
         )
 
-    return (
-        both.map_batches(
-            lambda t: bucket_by_keys(t, ["text"], n_cogroups),
-            batch_format="pyarrow",
-        )
-        .groupby("bucket")
-        .map_groups(_join, batch_format="pandas")
+    return exchange(
+        [
+            snap_hits.map_batches(_tag(0), batch_format="pyarrow"),
+            inc_hits.map_batches(_tag(1), batch_format="pyarrow"),
+        ],
+        ["text"],
+        _join,
     )
 
 
@@ -3568,7 +3448,6 @@ def source_overlap(docs: "ray.data.Dataset") -> "ray.data.Dataset":
     C-speed self-merge → per-bucket partial counts → the
     ≤|sources|²-row merge on one task (repartition(1), the
     constant-cardinality pattern)."""
-    from ..stages.lsh import bucket_by_keys
 
     def _partial(batch: pa.Table) -> pa.Table:
         df = (
@@ -3602,13 +3481,7 @@ def source_overlap(docs: "ray.data.Dataset") -> "ray.data.Dataset":
         return _pa_clean(g)
 
     return (
-        docs.map_batches(_partial, batch_format="pyarrow")
-        .map_batches(
-            lambda t: bucket_by_keys(t, ["text"], _MERGE_COGROUPS),
-            batch_format="pyarrow",
-        )
-        .groupby("bucket")
-        .map_groups(_pairs_bucket, batch_format="pandas")
+        exchange(docs.map_batches(_partial, batch_format="pyarrow"), ["text"], _pairs_bucket)
         .repartition(1)
         .map_batches(_final_merge, batch_format="pandas", batch_size=None)
     )
@@ -3641,9 +3514,7 @@ def _word_ngram_doc_pairs(batch: pa.Table, n: int) -> pd.DataFrame:
     ).drop_duplicates()
 
 
-def dup_ngram_fraction(
-    docs: "ray.data.Dataset", n: int = 3, n_cogroups: int = _MERGE_COGROUPS
-) -> "ray.data.Dataset":
+def dup_ngram_fraction(docs: "ray.data.Dataset", n: int = 3) -> "ray.data.Dataset":
     """For every document: how much of it is repeated elsewhere in the
     corpus? Per doc, the count of its DISTINCT word ``n``-grams, the
     count of those appearing in >= 2 documents, and the shared
@@ -3688,14 +3559,11 @@ def dup_ngram_fraction(
         )
 
     return (
-        docs.select_columns(["doc_id", "text"])
-        .map_batches(_partial, batch_format="pyarrow")
-        .map_batches(
-            lambda t: bucket_by_keys(t, ["gram"], n_cogroups),
-            batch_format="pyarrow",
+        exchange(
+            docs.select_columns(["doc_id", "text"]).map_batches(_partial, batch_format="pyarrow"),
+            ["gram"],
+            _bucket_tally,
         )
-        .groupby("bucket")
-        .map_groups(_bucket_tally, batch_format="pandas")
         .groupby("doc_id")
         .sum(["n_grams", "n_shared"])
         .map_batches(_finish, batch_format="pyarrow")

@@ -12,13 +12,14 @@ Performance shape (this matters at 10^12 rows): nearly every band key
 is a singleton (unique caption -> unique band hashes), so the exchange
 is never keyed by the band itself — that would cost one Python/pandas
 call per singleton group. ``cooccurrence_pairs_multi``, the one
-emitter, shuffles ONCE on a coarse integer co-group (a hash of the band
-key; every row of a band lands in the same co-group, and the co-group
-count scales with the rows entering the shuffle, ``adaptive_cogroups``).
-Inside a co-group, ``emit_pairs_grouped`` drops singleton keys and
-emits every bucket's pairs with numpy ops per bucket SIZE class, so
-Python runs once per co-group, not once per key. ``probe_index_pairs``
-is the asymmetric form of the same exchange: a new shard against a
+emitter, shuffles ONCE through the package's one keyed exchange
+(stages/exchange.py): a hash of the band key picks a coarse co-group,
+every row of a band lands in the same co-group, and the exchange's one
+rule sizes the co-group count. Inside a co-group,
+``emit_pairs_grouped`` drops singleton keys and emits every bucket's
+pairs with numpy ops per bucket SIZE class, so Python runs once per
+co-group, not once per key. ``probe_index_pairs`` is the asymmetric
+form of the same exchange: a new shard against a
 persisted reference, never ref x ref (the incremental dedup ops).
 
 Skew handling (north rule): a boilerplate caption puts thousands of ids
@@ -143,7 +144,7 @@ DROPPED_SENTINEL = "__DROPPED_BUCKET__"
 
 
 def sentinel_rows(
-    dropped: list, cogroup: int, salt=0, id_dtype: str = "str", n_cogroups: int = 1024
+    dropped: list, cogroup: int, salt=0, id_dtype: str = "str", *, n_cogroups: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(src_id, dst_id) of the sentinel rows reporting one cogroup's
     dropped buckets: one row per entry of ``dropped`` (the bucket's raw
@@ -153,7 +154,10 @@ def sentinel_rows(
     DROPPED_SENTINEL, salt, cogroup and seq joined by ``:``, dst is
     ``1:<rows>``; int ids: src is a negative id built from (cogroup,
     seq) plus the parity of an int salt (0 for any other salt), dst is
-    the row count. ``tally_sentinels`` decodes both."""
+    the row count — unique only while ``cogroup < n_cogroups``, so
+    ``n_cogroups`` is the exchange's own group count
+    (stages/exchange.py passes it in). ``tally_sentinels`` decodes
+    both."""
     if id_dtype == "str":
         return (
             np.array(
@@ -168,19 +172,6 @@ def sentinel_rows(
         -(1 + 2 * (cogroup + n_cogroups * seq) + parity),
         np.asarray(dropped, dtype=np.int64),
     )
-
-
-def adaptive_cogroups(
-    n_rows: Optional[int], rows_per_group: int = 500_000, floor: int = 1024
-) -> int:
-    """Scale the co-group bucket count with the (estimated) number of
-    rows entering the shuffle (VERDICT r1 item 7): each co-group
-    materializes as ONE pandas frame inside ``map_groups``, so a fixed
-    1024 would make groups corpus/1024-sized — fatal at 1e12 band rows.
-    ``None`` (unknown) keeps the floor."""
-    if not n_rows:
-        return floor
-    return max(floor, -(-n_rows // rows_per_group))
 
 
 def widen_blocks(
@@ -198,36 +189,6 @@ def widen_blocks(
     if ds.num_blocks() < min_blocks:
         return ds.repartition(min_blocks).materialize()
     return ds
-
-
-def bucket_by_keys(
-    batch: pa.Table, key_cols: list[str], n_cogroups: int
-) -> pa.Table:
-    """Append an int64 ``bucket`` column = deterministic hash of the key
-    columns mod ``n_cogroups``. All rows sharing the keys land in one
-    cogroup; many key groups share a cogroup, so a downstream
-    ``groupby("bucket").map_groups`` pays ONE Python call per bucket
-    (with a C-speed pandas groupby inside) instead of one per key —
-    the bucket-cogroup pattern this module's pair stages use, exposed
-    for the small aggregate merges (exact_dedup, token_counts, ...).
-
-    Hashing is ``pandas.util.hash_array`` (vectorized siphash with the
-    library's fixed default key — deterministic across workers and
-    processes) xor-combined across columns; handles string and numeric
-    key columns alike. Emits metadata-free Arrow so Ray's reduce-side
-    schema dedup keeps hashing the block schemas."""
-    import pandas as pd
-
-    acc = np.zeros(len(batch), dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for c in key_cols:
-            col = batch[c].to_pandas().to_numpy()
-            h = pd.util.hash_array(col, categorize=False)
-            acc = (acc ^ h) * np.uint64(0x9E3779B97F4A7C15)
-        bucket = acc % np.uint64(n_cogroups)
-    return batch.append_column(
-        "bucket", pa.array(bucket.astype(np.int64), pa.int64())
-    ).replace_schema_metadata(None)
 
 
 def emit_bucket_pairs_attr(
@@ -431,7 +392,6 @@ def cooccurrence_pairs(
     id_dtype: str = "str",
     drop_threshold: Optional[int] = None,
     stats: Optional[dict] = None,
-    n_cogroups: int = 1024,
     keep_sentinels: bool = False,
     sentinel_salt: int = 0,
     attr_col: Optional[str] = None,
@@ -457,7 +417,6 @@ def cooccurrence_pairs(
         ],
         id_col,
         id_dtype=id_dtype,
-        n_cogroups=n_cogroups,
         keep_sentinels=keep_sentinels,
         stats=stats,
     )
@@ -467,18 +426,18 @@ def cooccurrence_pairs_multi(
     sources: list[dict],
     id_col: str,
     id_dtype: str = "str",
-    n_cogroups: int = 1024,
     keep_sentinels: bool = False,
     stats: Optional[dict] = None,
+    nbytes: Optional[int] = None,
 ) -> "ray.data.Dataset":
     """The cogroup pair emitter: (key, id) rows of one or more sources
     -> canonical pairs (src_id < dst_id, capped) for every key shared by
     >= 2 ids, through ONE shuffle.
 
-    The shuffle is keyed by a coarse integer co-group, ``(k ^ (k >> 17))
-    % n_cogroups`` of the key: every row of a key lands in the same
-    co-group, singleton keys are eliminated inside the group by
-    ``emit_pairs_grouped`` (numpy, no Python per key), and Python runs
+    The shuffle is the keyed exchange (stages/exchange.py) on the key,
+    sized by ``nbytes`` (a size the caller holds for the rows, or None):
+    every row of a key lands in the same co-group, singleton keys are
+    eliminated inside the group by ``emit_pairs_grouped`` (numpy, no Python per key), and Python runs
     once per co-group. Several sources (the flagship's caption keys at
     ``bucket_cap`` and phash bit-slices at ``phash_bucket_cap``) ride
     the same exchange tagged with an int8 ``side``; the emission splits
@@ -553,7 +512,6 @@ def cooccurrence_pairs_multi(
             )
             n = len(batch)
             cols = {
-                "cogroup": pa.array((kv ^ (kv >> 17)) % n_cogroups, pa.int64()),
                 "band": pa.array(kv, pa.int64()),
                 id_col: batch[id_col],
             }
@@ -569,16 +527,16 @@ def cooccurrence_pairs_multi(
 
         return _f
 
-    rows = None
-    for side, (s, cfgd) in enumerate(zip(sources, side_cfg)):
-        part = s["rows"].map_batches(
+    rows = [
+        s["rows"].map_batches(
             _normalize(s["key_col"], s["attr_col"] if cfgd["use_attr"] else None, side),
             batch_format="pyarrow",
         )
-        rows = part if rows is None else rows.union(part)
+        for side, (s, cfgd) in enumerate(zip(sources, side_cfg))
+    ]
 
-    def _pairs(group: pd.DataFrame) -> pa.Table:
-        cg = int(group["cogroup"].iloc[0]) if len(group) else 0
+    def _pairs(group: pd.DataFrame, n_groups: int) -> pa.Table:
+        cg = int(group["bucket"].iloc[0]) if len(group) else 0
         sides = group["side"].to_numpy() if multi else None
         parts_s: list = [np.zeros(0, dtype=object if id_dtype == "str" else np.int64)]
         parts_d: list = parts_s[:]
@@ -611,7 +569,7 @@ def cooccurrence_pairs_multi(
             else:
                 src, dst, capped, dropped = out
             sent_s, sent_d = sentinel_rows(
-                dropped, cg, cfgd["salt"], id_dtype, n_cogroups
+                dropped, cg, cfgd["salt"], id_dtype, n_cogroups=n_groups
             )
             parts_s += [src, sent_s]
             parts_d += [dst, sent_d]
@@ -625,7 +583,9 @@ def cooccurrence_pairs_multi(
         cols["capped"] = pa.array(np.concatenate(parts_c).astype(bool), pa.bool_())
         return pa.table(cols)
 
-    pairs = rows.groupby("cogroup").map_groups(_pairs, batch_format="pandas")
+    from .exchange import exchange
+
+    pairs = exchange(rows, ["band"], _pairs, nbytes=nbytes, with_count=True)
     if keep_sentinels:
         return pairs
     if stats is not None:
@@ -730,10 +690,14 @@ def probe_index_pairs(
         )
 
     from .driver import fits
+    from .exchange import exchange
 
-    # n_bands exploded rows per row: band (8 B), id, attr and side (1 B)
+    # n_bands exploded rows per row: band (8 B), id, attr and side (1 B);
+    # the collision-filtered ref side adds rows only where it shares a
+    # probe band, so these bytes also size the exchange
     attr_bytes = local[attr_col].nbytes if len(local) else 0
-    if fits(n_bands * (local[id_col].nbytes + attr_bytes + 9 * len(local))):
+    probe_bytes = n_bands * (local[id_col].nbytes + attr_bytes + 9 * len(local))
+    if fits(probe_bytes):
         probe_rows = (
             _explode(local, 1)
             if len(local)
@@ -769,9 +733,7 @@ def probe_index_pairs(
         rows = _explode(supersede(batch), 0)
         return rows.filter(pc.is_in(rows["band"], value_set=keys))
 
-    rows = new_rows.union(ref.map_batches(_ref_fused, batch_format="pyarrow"))
-
-    def _emit(group: pd.DataFrame) -> pa.Table:
+    def _emit(group: pd.DataFrame, n_groups: int) -> pa.Table:
         agg = group.groupby("band", sort=False)["side"].agg(["size", "max"])
         live = agg.index[(agg["size"] >= 2) & (agg["max"] == 1)]
         srcs: list = [np.zeros(0, np_id)]
@@ -823,7 +785,7 @@ def probe_index_pairs(
             j = np.concatenate([ni[tri_j], np.tile(ri, len(ni))])
             _add(ids[i], ids[j], attrs[i], attrs[j], was_capped, salted=False)
         cg = int(group["bucket"].iloc[0]) if len(group) else 0
-        sent_s, sent_d = sentinel_rows(dropped, cg, "inc", id_dtype)
+        sent_s, sent_d = sentinel_rows(dropped, cg, "inc", id_dtype, n_cogroups=n_groups)
         cols = {
             "src_id": pa.array(np.concatenate(srcs + [sent_s]), id_type),
             "dst_id": pa.array(np.concatenate(dsts + [sent_d]), id_type),
@@ -837,10 +799,12 @@ def probe_index_pairs(
         )
         return pa.table(cols)
 
-    pairs = (
-        rows.map_batches(lambda t: bucket_by_keys(t, ["band"], 1024), batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(_emit, batch_format="pandas")
+    pairs = exchange(
+        [new_rows, ref.map_batches(_ref_fused, batch_format="pyarrow")],
+        ["band"],
+        _emit,
+        nbytes=probe_bytes,
+        with_count=True,
     )
     return pairs, supersede
 
@@ -900,32 +864,19 @@ def tally_sentinels(
 
 
 def dedup_pairs(
-    pairs: "ray.data.Dataset", id_dtype: str = "str", n_cogroups: int = 1024
+    pairs: "ray.data.Dataset", id_dtype: str = "str", nbytes: Optional[int] = None
 ) -> "ray.data.Dataset":
     """Canonical-pair dedup after the union of candidate sources
     (MinHash ∪ SimHash ∪ substring ∪ exact) — the distributed analog of
     the reference's BTreeSet/dedup_by_key (src/lib.rs:1149, 1530-1533).
 
     Implementation: per-batch local dedup (combiner) shrinks the
-    shuffle, then ONE groupby on a small integer hash bucket of the pair
-    (both copies of a pair land in the same bucket) with a C-speed
-    pandas ``drop_duplicates`` inside each group — cheaper than a global
-    sort-aggregate over wide composite keys."""
-    def _pair_hash(df: pd.DataFrame) -> np.ndarray:
-        # deterministic, process-stable, C-vectorized pair hash (pandas
-        # uses a fixed hash key; Python's hash() is salted per process
-        # and would scatter identical pairs across buckets). Integer ids
-        # combine two vectorized column hashes asymmetrically — no
-        # per-row string materialization on the hot path.
-        if id_dtype == "int":
-            with np.errstate(over="ignore"):
-                hs = pd.util.hash_array(df["src_id"].to_numpy(), categorize=False)
-                hd = pd.util.hash_array(df["dst_id"].to_numpy(), categorize=False)
-                return hs ^ (hd * np.uint64(0x9E3779B97F4A7C15))
-        return pd.util.hash_pandas_object(
-            df["src_id"].astype(str) + "\x1f" + df["dst_id"].astype(str),
-            index=False,
-        ).to_numpy()
+    shuffle, then ONE keyed exchange on the pair (stages/exchange.py,
+    sized by ``nbytes`` when the caller holds it: both copies of a pair
+    land in the same group) with a C-speed pandas ``drop_duplicates``
+    inside each group — cheaper than a global sort-aggregate over wide
+    composite keys."""
+    from .exchange import exchange
 
     # extra columns (e.g. the ``hamming`` of an exact_hamming emission) ride
     # through: dedup is keyed on (src_id, dst_id) only, and any carried
@@ -935,29 +886,22 @@ def dedup_pairs(
     # otherwise degrade string columns to null type and trip Ray's
     # block-size estimator on size-0 object arrays.
     def _local(batch: pa.Table) -> pa.Table:
-        cols = [c for c in batch.column_names if c != "cogroup"]
-        df = batch.select(cols).to_pandas()
-        df = df.sort_values("capped").drop_duplicates(
+        df = batch.to_pandas().sort_values("capped").drop_duplicates(
             ["src_id", "dst_id"], keep="first"
         )
-        df["cogroup"] = (_pair_hash(df) % np.uint64(n_cogroups)).astype(np.int64)
-        schema = pa.schema(
-            [batch.schema.field(c) for c in cols]
-            + [pa.field("cogroup", pa.int64())]
-        )
         return pa.Table.from_pandas(
-            df, preserve_index=False, schema=schema
+            df, preserve_index=False, schema=batch.schema
         ).replace_schema_metadata(None)
 
     def _dedup(group: pd.DataFrame) -> pa.Table:
         out = group.sort_values("capped").drop_duplicates(
             ["src_id", "dst_id"], keep="first"
         )
-        cols = [c for c in out.columns if c != "cogroup"]
-        # emit metadata-free Arrow with pinned types: object-dtype
-        # columns are always id strings here, and pinning keeps empty
-        # groups from degrading them to null type (block-schema drift +
-        # size-estimator warnings on size-0 object arrays)
+        cols = [c for c in out.columns if c != "bucket"]
+        # pinned types: object-dtype columns are always id strings here,
+        # and pinning keeps empty groups from degrading them to null type
+        # (block-schema drift + size-estimator warnings on size-0 object
+        # arrays)
         schema = pa.schema(
             [
                 pa.field(
@@ -969,12 +913,11 @@ def dedup_pairs(
                 for c in cols
             ]
         )
-        return pa.Table.from_pandas(
-            out[cols], preserve_index=False, schema=schema
-        ).replace_schema_metadata(None)
+        return pa.Table.from_pandas(out[cols], preserve_index=False, schema=schema)
 
-    return (
-        pairs.map_batches(_local, batch_format="pyarrow")
-        .groupby("cogroup")
-        .map_groups(_dedup, batch_format="pandas")
+    return exchange(
+        pairs.map_batches(_local, batch_format="pyarrow"),
+        ["src_id", "dst_id"],
+        _dedup,
+        nbytes=nbytes,
     )

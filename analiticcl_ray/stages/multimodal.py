@@ -640,7 +640,7 @@ def _video_pair_counts(
     video; swapping would lose which side is the probe)."""
     import pandas as pd
 
-    from .lsh import bucket_by_keys
+    from .exchange import exchange
 
     def _vid_partial(t: pa.Table) -> pa.Table:
         # frame pair -> video pair (drop intra-video), count per batch
@@ -677,23 +677,27 @@ def _video_pair_counts(
             }
         )
 
-    def _vid_merge(group: pd.DataFrame) -> pd.DataFrame:
+    def _vid_merge(group: pd.DataFrame) -> pa.Table:
         out = (
             group.groupby(["src_id", "dst_id"], sort=False)
             .agg(n_frame_matches=("n_frame_matches", "sum"))
             .reset_index()
         )
-        return out[out["n_frame_matches"] >= min_frame_matches]
-
-    return (
-        frame_pairs.map_batches(_vid_partial, batch_format="pyarrow")
-        .map_batches(
-            lambda t: bucket_by_keys(t, ["src_id", "dst_id"], 256),
-            batch_format="pyarrow",
+        out = out[out["n_frame_matches"] >= min_frame_matches]
+        return pa.table(
+            {
+                "src_id": pa.array(out["src_id"].to_numpy(dtype=object), pa.string()),
+                "dst_id": pa.array(out["dst_id"].to_numpy(dtype=object), pa.string()),
+                "n_frame_matches": pa.array(
+                    out["n_frame_matches"].to_numpy(dtype=np.int64), pa.int64()
+                ),
+            }
         )
-        .groupby("bucket")
-        .map_groups(_vid_merge, batch_format="pandas")
-        .select_columns(["src_id", "dst_id", "n_frame_matches"])
+
+    return exchange(
+        frame_pairs.map_batches(_vid_partial, batch_format="pyarrow"),
+        ["src_id", "dst_id"],
+        _vid_merge,
     )
 
 

@@ -180,10 +180,10 @@ def _attach_cogroup(
     enters a shuffle.
 
     Stage A: pairs explode into per-side stub rows; stubs and corpus
-    rows land in the same integer bucket (deterministic pandas hash of
-    image_id) and a per-bucket ``index_in`` + ``take`` attaches the
-    values. Stage B: the two sides of each pair meet again in a bucket
-    keyed by the pair hash and are put back into one row."""
+    rows meet in one keyed exchange on image_id (stages/exchange.py)
+    and a per-group ``index_in`` + ``take`` attaches the values. Stage
+    B: the two sides of each pair meet again in an exchange keyed by
+    the pair and are put back into one row."""
     import pyarrow.compute as pc
 
     if id_col != "image_id":
@@ -198,15 +198,7 @@ def _attach_cogroup(
     pairs = pairs.map_batches(lambda t: t, batch_format="pyarrow")
     corpus = corpus.map_batches(lambda t: t, batch_format="pyarrow")
 
-    from .lsh import adaptive_cogroups, bucket_by_keys
-
-    # scale the bucket count with the corpus side (each bucket is one
-    # Arrow lookup): parquet metadata makes count() cheap; lazy
-    # pipelines without cheap counts keep the floor
-    try:
-        n_cogroups = adaptive_cogroups(corpus.count(), floor=512)
-    except Exception:
-        n_cogroups = 512
+    from .exchange import exchange
 
     pair_schema = pairs.schema().base_schema
     corpus_schema = corpus.schema().base_schema
@@ -241,20 +233,6 @@ def _attach_cogroup(
         cols["is_corpus"] = pa.array(np.ones(n, dtype=bool))
         return pa.table(cols)
 
-    def _bucket(batch: pa.Table) -> pa.Table:
-        # shared deterministic vectorized hash (no per-row str build)
-        return bucket_by_keys(batch, ["image_id"], n_cogroups)
-
-    both = (
-        pairs.map_batches(_stubs, batch_format="pyarrow")
-        .union(
-            corpus.select_columns(["image_id", *value_cols]).map_batches(
-                _corpus_rows, batch_format="pyarrow"
-            )
-        )
-        .map_batches(_bucket, batch_format="pyarrow")
-    )
-
     vcols = [f"v_{c}" for c in value_cols]
 
     # both joins stay in Arrow (pc.index_in + take, as the broadcast path
@@ -278,13 +256,17 @@ def _attach_cogroup(
             stubs = stubs.set_column(stubs.schema.get_field_index(c), c, corp[c].take(idx))
         return stubs
 
-    attached = both.groupby("bucket").map_groups(_merge_values, batch_format="pyarrow")
-
-    def _pair_bucket(batch: pa.Table) -> pa.Table:
-        t = bucket_by_keys(batch, ["p_src_id", "p_dst_id"], n_cogroups)
-        return t.rename_columns(
-            ["pbucket" if c == "bucket" else c for c in t.column_names]
-        )
+    attached = exchange(
+        [
+            pairs.map_batches(_stubs, batch_format="pyarrow"),
+            corpus.select_columns(["image_id", *value_cols]).map_batches(
+                _corpus_rows, batch_format="pyarrow"
+            ),
+        ],
+        ["image_id"],
+        _merge_values,
+        batch_format="pyarrow",
+    )
 
     pair_keys = [("p_src_id", "ascending"), ("p_dst_id", "ascending")]
 
@@ -305,10 +287,8 @@ def _attach_cogroup(
             | {f"dst_{c}": s1[f"v_{c}"] for c in value_cols}
         )
 
-    return (
-        attached.map_batches(_pair_bucket, batch_format="pyarrow")
-        .groupby("pbucket")
-        .map_groups(_reassemble, batch_format="pyarrow")
+    return exchange(
+        attached, ["p_src_id", "p_dst_id"], _reassemble, batch_format="pyarrow"
     )
 
 

@@ -235,12 +235,3 @@ def test_ann_lsh_pairs_cogroup_equals_broadcast(ray_session, monkeypatch):
     forced = pset(cosine_dup_pairs_lsh(emb, threshold=0.4))
     assert calls
     assert forced == base
-
-
-def test_adaptive_cogroups_scaling():
-    from analiticcl_ray.stages.lsh import adaptive_cogroups
-
-    assert adaptive_cogroups(None) == 1024
-    assert adaptive_cogroups(10_000) == 1024          # floor
-    assert adaptive_cogroups(1_000_000_000) == 2000   # scales up
-    assert adaptive_cogroups(25_000_000_000_000) == 50_000_000  # 1e12 x 25 keys

@@ -392,11 +392,11 @@ def test_cooccurrence_pairs_multi_equals_separate_passes(ray_session):
     sep = collect(
         cooccurrence_pairs(
             rows_a, "band", "image_id", cap=6, keep_sentinels=True,
-            n_cogroups=64, sentinel_salt=0, drop_threshold=20,
+            sentinel_salt=0, drop_threshold=20,
         ).union(
             cooccurrence_pairs(
                 rows_b, "band", "image_id", cap=4, keep_sentinels=True,
-                n_cogroups=64, sentinel_salt=1, drop_threshold=30,
+                sentinel_salt=1, drop_threshold=30,
                 attr_col="phash", attr_maxham=20,
             )
         )
@@ -416,7 +416,6 @@ def test_cooccurrence_pairs_multi_equals_separate_passes(ray_session):
             ],
             "image_id",
             keep_sentinels=True,
-            n_cogroups=64,
         )
     )
     assert merged == sep
@@ -495,15 +494,21 @@ def test_sentinel_codec_round_trip(ray_session):
         tally_sentinels,
     )
 
-    s, d = sentinel_rows([40, 7], 5, 1, "str")
+    s, d = sentinel_rows([40, 7], 5, 1, "str", n_cogroups=64)
     assert list(s) == ["__DROPPED_BUCKET__:1:5:0", "__DROPPED_BUCKET__:1:5:1"]
     assert list(d) == ["1:40", "1:7"]
-    s, d = sentinel_rows([40, 7], 5, "inc", "str")
+    s, d = sentinel_rows([40, 7], 5, "inc", "str", n_cogroups=64)
     assert list(s) == ["__DROPPED_BUCKET__:inc:5:0", "__DROPPED_BUCKET__:inc:5:1"]
     s, d = sentinel_rows([40, 7], 5, 1, "int", n_cogroups=64)
     assert s.tolist() == [-(1 + 2 * 5 + 1), -(1 + 2 * (5 + 64) + 1)]
     assert d.tolist() == [40, 7]
-    assert sentinel_rows([40], 5, "inc", "int")[0].tolist() == [-(1 + 2 * 5)]
+    assert sentinel_rows([40], 5, "inc", "int", n_cogroups=64)[0].tolist() == [-(1 + 2 * 5)]
+    # a count above the former fixed 1024: cogroup 1024's first
+    # sentinel must not collide with cogroup 0's second
+    hi = sentinel_rows([3], 1024, 0, "int", n_cogroups=2048)[0].tolist()
+    lo = sentinel_rows([3, 4], 0, 0, "int", n_cogroups=2048)[0].tolist()
+    assert hi == [-(1 + 2 * 1024)] and lo == [-1, -(1 + 2 * 2048)]
+    assert not set(hi) & set(lo)
 
     rng = np.random.default_rng(11)
     dropped_by_cg = {cg: rng.integers(2, 500, size=int(rng.integers(0, 4))).tolist()
@@ -609,7 +614,7 @@ def test_pair_summary_counts_pairs_capped_and_sentinels(ray_session):
     from analiticcl_ray.stages.lsh import pair_summary, sentinel_rows
 
     for id_dtype in ("str", "int"):
-        sent_s, sent_d = sentinel_rows([9, 30], 3, 1, id_dtype)
+        sent_s, sent_d = sentinel_rows([9, 30], 3, 1, id_dtype, n_cogroups=16)
         if id_dtype == "str":
             src = np.array([f"a{i}" for i in range(20)], dtype=object)
             dst = np.array([f"b{i}" for i in range(20)], dtype=object)
