@@ -28,7 +28,7 @@ def _merge_window_partials(partial: "ray.data.Dataset") -> "ray.data.Dataset":
     the last ulp; the rounded value is the comparable contract (exact
     aggregation is over ints only)."""
 
-    def _merge_bucket(group: pd.DataFrame) -> pa.Table:
+    def _merge_bucket(group: pd.DataFrame) -> pd.DataFrame:
         out = (
             group.groupby(["user_id", "window_start"], sort=False)
             .agg(n_events=("n_events", "sum"), sum_value=("sum_value", "sum"))
@@ -38,9 +38,7 @@ def _merge_window_partials(partial: "ray.data.Dataset") -> "ray.data.Dataset":
         out["window_start"] = out["window_start"].astype("int64")
         out["n_events"] = out["n_events"].astype("int64")
         out["sum_value"] = out["sum_value"].astype(float).round(4)
-        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(
-            None
-        )
+        return out
 
     return exchange(partial, ["user_id", "window_start"], _merge_bucket)
 
@@ -117,7 +115,7 @@ def sessionize(
     tumbling_window_agg: float summation order differs between engines
     in the last ulp) so the op is DuckDB-oracle-checkable."""
 
-    def _sessions_bucket(group: pd.DataFrame) -> pa.Table:
+    def _sessions_bucket(group: pd.DataFrame) -> pd.DataFrame:
         # one Python call per BUCKET of users (not per user): sort the
         # whole bucket by (user, ts) once, then session boundaries,
         # session ids, and the per-session aggregate are all C-speed
@@ -145,9 +143,7 @@ def sessionize(
         out["user_id"] = out["user_id"].astype("int64")
         out["n_events"] = out["n_events"].astype("int64")
         out["sum_value"] = out["sum_value"].astype(float).round(4)
-        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(
-            None
-        )
+        return out
 
     return exchange(
         events.select_columns(["user_id", "ts", "value"]), ["user_id"], _sessions_bucket
@@ -356,7 +352,7 @@ def event_transitions(events: "ray.data.Dataset") -> "ray.data.Dataset":
     regardless of corpus scale. Inside a bucket everything is one
     C-speed sort + shifted-view compare, no per-user Python."""
 
-    def _pairs_bucket(group: pd.DataFrame) -> pa.Table:
+    def _pairs_bucket(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(
             ["user_id", "t_us", "event_id"], kind="mergesort"
         ).reset_index(drop=True)
@@ -369,9 +365,7 @@ def event_transitions(events: "ray.data.Dataset") -> "ray.data.Dataset":
             .reset_index(name="n")
         )
         out["n"] = out["n"].astype("int64")
-        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(
-            None
-        )
+        return out
 
     def _to_us(batch: pa.Table) -> pa.Table:
         # timestamp[us] -> epoch microseconds, zero-copy-ish Arrow cast
@@ -379,16 +373,14 @@ def event_transitions(events: "ray.data.Dataset") -> "ray.data.Dataset":
             "t_us", batch["ts"].cast(pa.timestamp("us")).cast(pa.int64())
         )
 
-    def _merge_bucket(group: pd.DataFrame) -> pa.Table:
+    def _merge_bucket(group: pd.DataFrame) -> pd.DataFrame:
         out = (
             group.groupby(["src_type", "dst_type"], sort=False)["n"]
             .sum()
             .reset_index()
         )
         out["n"] = out["n"].astype("int64")
-        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(
-            None
-        )
+        return out
 
     pairs = exchange(
         events.select_columns(["user_id", "ts", "event_id", "event_type"]).map_batches(
@@ -418,7 +410,7 @@ def user_activity_stats(events: "ray.data.Dataset") -> "ray.data.Dataset":
             "t_us", batch["ts"].cast(pa.timestamp("us")).cast(pa.int64())
         )
 
-    def _stats_bucket(group: pd.DataFrame) -> pa.Table:
+    def _stats_bucket(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(
             ["user_id", "t_us", "event_id"], kind="mergesort"
         ).reset_index(drop=True)
@@ -445,9 +437,7 @@ def user_activity_stats(events: "ray.data.Dataset") -> "ray.data.Dataset":
             ["user_id", "n_events", "n_types", "first_us", "last_us",
              "span_us", "max_gap_us"]
         ]
-        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(
-            None
-        )
+        return out
 
     return exchange(
         events.select_columns(["user_id", "ts", "event_id", "event_type"]).map_batches(
@@ -551,7 +541,7 @@ def retention_cohorts(events: "ray.data.Dataset") -> "ray.data.Dataset":
         )
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    def _cohort_bucket(group: pd.DataFrame) -> pa.Table:
+    def _cohort_bucket(group: pd.DataFrame) -> pd.DataFrame:
         g = group.drop_duplicates(["user_id", "day"])
         cohort = g.groupby("user_id", sort=False)["day"].transform("min")
         part = (
@@ -566,9 +556,7 @@ def retention_cohorts(events: "ray.data.Dataset") -> "ray.data.Dataset":
             .reset_index(name="n_users")
         )
         part["n_users"] = part["n_users"].astype("int64")
-        return pa.Table.from_pandas(part, preserve_index=False).replace_schema_metadata(
-            None
-        )
+        return part
 
     partials = exchange(
         events.map_batches(_days, batch_format="pyarrow"), ["user_id"], _cohort_bucket

@@ -507,7 +507,7 @@ def local_supplier_volume(
         _LineSupplierSide, supp_ref,
     )
 
-    def _join_bucket(g: pd.DataFrame) -> pa.Table:
+    def _join_bucket(g: pd.DataFrame) -> pd.DataFrame:
         rv = g["rev_c"]
         o = g.loc[rv.isna(), ["o_orderkey", "nat_key"]]
         l = g.loc[rv.notna(), ["o_orderkey", "nat_key", "rev_c", "n_items"]]
@@ -518,7 +518,7 @@ def local_supplier_volume(
             .astype(np.int64)
             .reset_index()
         )
-        return _pa_clean(out)
+        return out
 
     def _final(df: pd.DataFrame) -> pa.Table:
         g = (

@@ -109,13 +109,13 @@ def exact_dedup(docs: "ray.data.Dataset") -> "ray.data.Dataset":
             }
         )
 
-    def _merge_bucket(group: pd.DataFrame) -> pa.Table:
+    def _merge_bucket(group: pd.DataFrame) -> pd.DataFrame:
         out = (
             group.groupby("text", sort=False)
             .agg(rep_id=("rep_id", "min"), n_dups=("n_dups", "sum"))
             .reset_index()
         )
-        return _pa_clean(out)
+        return out
 
     return exchange(
         docs.map_batches(_partial, batch_format="pyarrow"),
@@ -398,7 +398,7 @@ def inverted_index(docs: "ray.data.Dataset") -> "ray.data.Dataset":
         ).drop_duplicates()
         return _pa_clean(df)
 
-    def _merge(group: pd.DataFrame) -> pa.Table:
+    def _merge(group: pd.DataFrame) -> pd.DataFrame:
         g = group.drop_duplicates(["token", "doc_id"]).sort_values(
             ["token", "doc_id"], kind="mergesort"
         )
@@ -406,7 +406,7 @@ def inverted_index(docs: "ray.data.Dataset") -> "ray.data.Dataset":
             n_docs="size", postings=lambda s: ",".join(map(str, s))
         ).reset_index()
         agg["n_docs"] = agg["n_docs"].astype("int64")
-        return _pa_clean(agg)
+        return agg
 
     return exchange(
         docs.map_batches(_partial, batch_format="pyarrow"),
@@ -439,7 +439,7 @@ def top_docs_per_group(
         )
         return _pa_clean(out)
 
-    def _final(group: pd.DataFrame) -> pa.Table:
+    def _final(group: pd.DataFrame) -> pd.DataFrame:
         out = (
             group.sort_values(
                 ["n_chars", "doc_id"], ascending=[False, True], kind="mergesort"
@@ -447,7 +447,7 @@ def top_docs_per_group(
             .groupby(group_col, sort=False)
             .head(k)[["doc_id", group_col, "n_chars"]]
         )
-        return _pa_clean(out)
+        return out
 
     return exchange(
         docs.map_batches(_partial, batch_format="pyarrow"),
@@ -574,13 +574,13 @@ def cooccurrence_counts(
             }
         )
 
-    def _merge(group: pd.DataFrame) -> pa.Table:
+    def _merge(group: pd.DataFrame) -> pd.DataFrame:
         out = (
             group.groupby(["w1", "w2"], sort=False)
             .agg(cnt=("cnt", "sum"))
             .reset_index()
         )
-        return _pa_clean(out)
+        return out
 
     return exchange(
         docs.map_batches(_partial, batch_format="pyarrow"),
@@ -654,7 +654,7 @@ def anagram_groups(docs: "ray.data.Dataset", min_words: int = 1) -> "ray.data.Da
             }
         )
 
-    def _merge_bucket(group: pd.DataFrame) -> pa.Table:
+    def _merge_bucket(group: pd.DataFrame) -> pd.DataFrame:
         g = (
             group.drop_duplicates(["anakey", "word"])
             .sort_values(["anakey", "word"], kind="mergesort")
@@ -664,7 +664,7 @@ def anagram_groups(docs: "ray.data.Dataset", min_words: int = 1) -> "ray.data.Da
         )
         g = g[g["n_words"] >= min_words]
         g["n_words"] = g["n_words"].astype("int64")
-        return _pa_clean(g[["anakey", "n_words", "words"]])
+        return g[["anakey", "n_words", "words"]]
 
     return exchange(
         docs.map_batches(_partial, batch_format="pyarrow"),
@@ -786,10 +786,10 @@ def char_ngram_counts(docs: "ray.data.Dataset", n: int = 3) -> "ray.data.Dataset
             }
         )
 
-    def _merge_bucket(group: pd.DataFrame) -> pa.Table:
+    def _merge_bucket(group: pd.DataFrame) -> pd.DataFrame:
         out = group.groupby("gram", sort=False)["cnt"].sum().reset_index()
         out["cnt"] = out["cnt"].astype("int64")
-        return _pa_clean(out)
+        return out
 
     return exchange(
         docs.select_columns(["text"]).map_batches(_partial, batch_format="pyarrow"),
@@ -1044,11 +1044,11 @@ def _gram_df_table(docs: "ray.data.Dataset", n: int) -> pa.Table:
             }
         )
 
-    def _merge_bucket(group: pd.DataFrame) -> pa.Table:
+    def _merge_bucket(group: pd.DataFrame) -> pd.DataFrame:
         out = (
             group.groupby("gram", sort=False).agg(df=("df", "sum")).reset_index()
         )
-        return _pa_clean(out)
+        return out
 
     out = pa.Table.from_pandas(
         exchange(
@@ -2243,7 +2243,7 @@ def chunk_dedup(docs: "ray.data.Dataset", window: int = 16) -> "ray.data.Dataset
     upstream."""
     chunks = chunk_docs(docs, window=window)
 
-    def _flag(g: pd.DataFrame) -> pa.Table:
+    def _flag(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(
             ["chunk_text", "doc_id", "chunk_id"], kind="mergesort"
         )
@@ -2251,11 +2251,11 @@ def chunk_dedup(docs: "ray.data.Dataset", window: int = 16) -> "ray.data.Dataset
         out = g.assign(keep=keep)[
             ["doc_id", "chunk_id", "chunk_text", "n_tokens", "keep"]
         ]
-        return _pa_clean(out)
+        return out
 
     flagged = exchange(chunks, ["chunk_text"], _flag)
 
-    def _assemble(g: pd.DataFrame) -> pa.Table:
+    def _assemble(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["doc_id", "chunk_id"], kind="mergesort")
         kept = g[g["keep"]]
         agg = g.groupby("doc_id", sort=False).size().rename("n_chunks").to_frame()
@@ -2268,7 +2268,7 @@ def chunk_dedup(docs: "ray.data.Dataset", window: int = 16) -> "ray.data.Dataset
         out = agg.reset_index()
         for c in ("n_chunks", "n_kept", "n_tokens_kept"):
             out[c] = out[c].astype(np.int64)
-        return _pa_clean(out)
+        return out
 
     return exchange(flagged, ["doc_id"], _assemble)
 
@@ -2385,12 +2385,12 @@ def prep_corpus(
 
     kept1 = docs.map_batches(_quality, batch_format="pyarrow")
 
-    def _dedup_bucket(g: pd.DataFrame) -> pa.Table:
+    def _dedup_bucket(g: pd.DataFrame) -> pd.DataFrame:
         keep = (
             g.groupby("text", sort=False)["doc_id"].transform("min")
             == g["doc_id"]
         )
-        return _pa_clean(g.loc[keep, ["doc_id", "text", "source", "n_tokens"]])
+        return g.loc[keep, ["doc_id", "text", "source", "n_tokens"]]
 
     # materialized: consumed twice, by the near-dup pairs and the slim join
     kept2 = exchange(kept1, ["text"], _dedup_bucket).materialize()
@@ -2417,7 +2417,7 @@ def prep_corpus(
             }
         )
 
-    def _rollup_bucket(g: pd.DataFrame) -> pa.Table:
+    def _rollup_bucket(g: pd.DataFrame) -> pd.DataFrame:
         left = g.loc[g["source"].notna(), ["doc_id", "source", "n_tokens"]]
         flags = g.loc[g["source"].isna(), ["doc_id", "keep"]]
         m = left.merge(flags, on="doc_id", how="left")
@@ -2434,7 +2434,7 @@ def prep_corpus(
         )
         part["n_docs"] = part["n_docs"].astype(np.int64)
         part["n_tokens"] = part["n_tokens"].astype(np.int64)
-        return _pa_clean(part)
+        return part
 
     def _final_merge(df: pd.DataFrame) -> pa.Table:
         g = (
@@ -2531,7 +2531,7 @@ def dup_rate_by_source(
             }
         )
 
-    def _join(g: pd.DataFrame) -> pa.Table:
+    def _join(g: pd.DataFrame) -> pd.DataFrame:
         left = g.loc[g["source"].isna(), ["doc_id", "dropped"]]
         right = g.loc[g["source"].notna(), ["doc_id", "source"]]
         m = right.merge(left, on="doc_id", how="left")
@@ -2544,7 +2544,7 @@ def dup_rate_by_source(
             .reset_index()
         )
         part["n_dropped"] = part["n_dropped"].astype(np.int64)
-        return _pa_clean(part)
+        return part
 
     both = [
         keep.map_batches(_keep_side, batch_format="pyarrow"),
@@ -2593,12 +2593,12 @@ def doc_freq(docs: "ray.data.Dataset", min_df: int = 1) -> "ray.data.Dataset":
             }
         )
 
-    def _merge_bucket(group: pd.DataFrame) -> pa.Table:
+    def _merge_bucket(group: pd.DataFrame) -> pd.DataFrame:
         out = group.groupby("token", sort=False)["df"].sum().reset_index()
         out = out[out["df"] >= min_df]
         out["df"] = out["df"].astype("int64")
         out["idf"] = np.log(n_docs / out["df"].to_numpy())
-        return _pa_clean(out)
+        return out
 
     return exchange(
         docs.select_columns(["doc_id", "text"]).map_batches(_partial, batch_format="pyarrow"),
@@ -2632,17 +2632,17 @@ def tfidf_top_terms(docs: "ray.data.Dataset", k: int = 5) -> "ray.data.Dataset":
 
     # df partials ride the same rows: distinct (doc, token) per batch is
     # exactly one tf row, so df = count of tf rows per token.
-    def _join_bucket(group: pd.DataFrame) -> pa.Table:
+    def _join_bucket(group: pd.DataFrame) -> pd.DataFrame:
         df = group.groupby("token", sort=False).size().reset_index(name="df")
         out = group.merge(df, on="token", copy=False)
         out["tfidf"] = out["tf"].to_numpy() * np.log(
             n_docs / out["df"].to_numpy()
         )
-        return _pa_clean(out[["doc_id", "token", "tf", "df", "tfidf"]])
+        return out[["doc_id", "token", "tf", "df", "tfidf"]]
 
     scored = exchange(tf_rows, ["token"], _join_bucket)
 
-    def _topk_bucket(group: pd.DataFrame) -> pa.Table:
+    def _topk_bucket(group: pd.DataFrame) -> pd.DataFrame:
         out = (
             group.sort_values(
                 ["doc_id", "tfidf", "token"],
@@ -2652,7 +2652,7 @@ def tfidf_top_terms(docs: "ray.data.Dataset", k: int = 5) -> "ray.data.Dataset":
             .groupby("doc_id", sort=False)
             .head(k)
         )
-        return _pa_clean(out[["doc_id", "token", "tf", "df", "tfidf"]])
+        return out[["doc_id", "token", "tf", "df", "tfidf"]]
 
     return exchange(scored, ["doc_id"], _topk_bucket)
 
@@ -2728,9 +2728,9 @@ def lm_counts(docs: "ray.data.Dataset") -> "ray.data.Dataset":
             }
         )
 
-    def _merge(group: pd.DataFrame) -> pa.Table:
+    def _merge(group: pd.DataFrame) -> pd.DataFrame:
         out = group.groupby("key", sort=False).agg(cnt=("cnt", "sum")).reset_index()
-        return _pa_clean(out)
+        return out
 
     return exchange(
         docs.select_columns(["doc_id", "text"]).map_batches(_partial, batch_format="pyarrow"),
@@ -3209,13 +3209,13 @@ def normalized_dedup(docs: "ray.data.Dataset") -> "ray.data.Dataset":
             }
         )
 
-    def _merge(group: pd.DataFrame) -> pa.Table:
+    def _merge(group: pd.DataFrame) -> pd.DataFrame:
         out = (
             group.groupby("norm_text", sort=False)
             .agg(rep_id=("rep_id", "min"), n_dups=("n_dups", "sum"))
             .reset_index()
         )
-        return _pa_clean(out)
+        return out
 
     return exchange(
         docs.map_batches(_partial, batch_format="pyarrow"),
@@ -3457,7 +3457,7 @@ def source_overlap(docs: "ray.data.Dataset") -> "ray.data.Dataset":
         )
         return _pa_clean(df)
 
-    def _pairs_bucket(g: pd.DataFrame) -> pa.Table:
+    def _pairs_bucket(g: pd.DataFrame) -> pd.DataFrame:
         d = g[["text", "source"]].drop_duplicates()
         m = d.merge(d, on="text")
         m = m[m["source_x"] <= m["source_y"]]
@@ -3469,7 +3469,7 @@ def source_overlap(docs: "ray.data.Dataset") -> "ray.data.Dataset":
             .rename(columns={"source_x": "source_a", "source_y": "source_b"})
         )
         out["n_shared_texts"] = out["n_shared_texts"].astype(np.int64)
-        return _pa_clean(out)
+        return out
 
     def _final_merge(df: pd.DataFrame) -> pa.Table:
         g = (
@@ -3531,7 +3531,7 @@ def dup_ngram_fraction(docs: "ray.data.Dataset", n: int = 3) -> "ray.data.Datase
     def _partial(batch: pa.Table) -> pa.Table:
         return _pa_clean(_word_ngram_doc_pairs(batch, n))
 
-    def _bucket_tally(group: pd.DataFrame) -> pa.Table:
+    def _bucket_tally(group: pd.DataFrame) -> pd.DataFrame:
         g = group.drop_duplicates(["gram", "doc_id"])
         shared = g.groupby("gram", sort=False)["doc_id"].transform("size") >= 2
         out = (
@@ -3542,7 +3542,7 @@ def dup_ngram_fraction(docs: "ray.data.Dataset", n: int = 3) -> "ray.data.Datase
         )
         out["n_grams"] = out["n_grams"].astype(np.int64)
         out["n_shared"] = out["n_shared"].astype(np.int64)
-        return _pa_clean(out)
+        return out
 
     def _finish(batch: pa.Table) -> pa.Table:
         ng = batch["sum(n_grams)"].to_numpy()

@@ -437,14 +437,14 @@ def cooccurrence_pairs_multi(
     The shuffle is the keyed exchange (stages/exchange.py) on the key,
     sized by ``nbytes`` (a size the caller holds for the rows, or None):
     every row of a key lands in the same co-group, singleton keys are
-    eliminated inside the group by ``emit_pairs_grouped`` (numpy, no Python per key), and Python runs
-    once per co-group. Several sources (the flagship's caption keys at
+    eliminated inside the group by ``emit_pairs_grouped`` (numpy, no
+    Python per key), and Python runs once per co-group. Several sources (the flagship's caption keys at
     ``bucket_cap`` and phash bit-slices at ``phash_bucket_cap``) ride
     the same exchange tagged with an int8 ``side``; the emission splits
     each co-group by side and applies that side's policy exactly as a
     separate pass would, so the output equals the union of one-source
-    calls byte for byte. A one-source call ships only (cogroup, band,
-    id[, attr]) and never splits its groups.
+    calls byte for byte. A one-source call ships only (band, id[,
+    attr]) and the exchange's group id, and never splits its groups.
 
     Each ``sources`` entry: ``rows`` (Dataset) and ``key_col`` (an
     integer key column), ``cap``, and optionally:
